@@ -27,7 +27,7 @@ from .errors import ConfigurationError, RangeError, SingularityError
 from .grid_field import ComplexField, SpatialGrid, build_grid, simpson
 from .inhomogeneity import InhomogeneityProfile, make_inverse_square
 from .ode_engine import OdeSystem, abm4_integrate
-from .pde_engine import EvolutionProblem, evolve
+from .pde_engine import EvolutionProblem, check_time_step, evolve
 
 __all__ = [
     "MODES",
@@ -346,9 +346,12 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     the soliton comes within EDGE_MARGIN of a grid edge.  Parameter-ODE and
     EOM tiers integrate with the predictor-corrector at dt_ode; bright
     parameter ODEs run in their half-rate frame and are resampled onto the
-    lab axis.
+    lab axis.  A dt_pde beyond the stepper's stability bound is rejected
+    before any tier runs.
     """
     grid = build_grid(config.x_min, config.x_max, config.n_points)
+    if "pde" in config.tiers:
+        check_time_step(config.dt_pde, grid, config.stepper)
     profile = make_inverse_square(config.C, config.D, grid)
     n_samples = config.n_samples
     times = config.sample_step * np.arange(n_samples)

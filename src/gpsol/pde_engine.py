@@ -11,8 +11,22 @@ discretized with the fourth-order stencils of grid_field; the two outermost
 points on each side are clamped to their initial values (their time
 derivative is forced to zero), which doubles as the boundary condition.
 
-Explicit steppers need dt <= 0.4 dx^2 for the dispersion term; evolve
-enforces that bound up front.
+Each stepper has its own bound dt <= factor * dx^2 for the dispersion
+term, whose grid-scale mode has eigenvalue -(8/3) i / dx^2.  RK4 is
+stable on the imaginary axis up to 1.06 dx^2 and is held to 0.4 dx^2.
+The single-pass ABM4 predictor-corrector is never strictly stable there:
+it amplifies the grid-scale mode by up to 7e-3 per step below a knee near
+0.348 dx^2, and faster above it (0.05 at 0.36, 0.23 at 0.4), so it is held
+to 0.34 dx^2.  Below the knee the growth per unit time barely depends on
+dt from 0.256 dx^2 up, and on the default grid such a run turns
+non-finite after about 10 time units; at 0.093 dx^2 the growth is only
+3e-5 per step.  check_time_step enforces the bound; evolve calls it up
+front, and the harness calls it before any tier runs.
+
+The right-hand side kernel writes into caller-owned arrays and keeps its
+stencil temporaries for the whole evolve call, and the RK4 and ABM4 steps
+update preallocated stage and history arrays in place, so a field step
+allocates nothing.
 """
 
 from __future__ import annotations
@@ -24,22 +38,24 @@ import numpy as np
 from .errors import ConfigurationError, InstabilityError
 from .grid_field import ComplexField, SpatialGrid, simpson
 from .inhomogeneity import InhomogeneityProfile
-from .ode_engine import rk4_step, _AB4, _AM4
+from .ode_engine import _AB4, _AM4
 
 __all__ = [
     "VARIANTS",
     "STEPPERS",
-    "STABILITY_FACTOR",
+    "STABILITY_FACTORS",
     "EvolutionProblem",
     "PdeTrajectory",
     "rhs",
+    "check_time_step",
     "evolve",
     "conserved_quantities",
 ]
 
 VARIANTS = ("original-psi", "transformed-bright", "transformed-dark-rotated")
 STEPPERS = ("rk4", "abm4")
-STABILITY_FACTOR = 0.4  # dt <= STABILITY_FACTOR * dx^2
+# dt <= STABILITY_FACTORS[stepper] * dx^2; see the module docstring
+STABILITY_FACTORS = {"rk4": 0.4, "abm4": 0.34}
 
 _VARIANT_S = {"transformed-bright": -1, "transformed-dark-rotated": +1}
 
@@ -89,8 +105,13 @@ class EvolutionProblem:
                     self._veff = veff
 
 
-def _make_rhs(problem: EvolutionProblem):
-    """Array-level du/dt closure with clamped boundary rows."""
+def _rhs_kernel(problem: EvolutionProblem):
+    """du/dt kernel rhs_into(t, u, out) that writes into out[2:-2].
+
+    The stencil temporaries are allocated here, once, and reused by every
+    call.  The clamped rows of out are never written: the caller zeroes
+    them once when it allocates out.
+    """
     dx = problem.grid.dx
     c2 = 1.0 / (12.0 * dx * dx)
     c1 = 1.0 / (12.0 * dx)
@@ -101,28 +122,49 @@ def _make_rhs(problem: EvolutionProblem):
     adv_int = adv[2:-2] if adv is not None else None
     veff = problem._veff
     veff_int = veff[2:-2] if veff is not None else None
+    m = problem.grid.n_points - 4
+    interior = np.empty(m, dtype=np.complex128)
+    tmp = np.empty(m, dtype=np.complex128)
+    du = np.empty(m, dtype=np.complex128) if adv_int is not None else None
+    dens = np.empty(m)
+    dens_im = np.empty(m)
 
-    def rhs_array(t: float, u: np.ndarray) -> np.ndarray:
+    def rhs_into(t: float, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         ui = u[2:-2]
-        lap = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * ui
-               + 16.0 * u[3:-1] - u[4:]) * c2
-        dens = ui.real ** 2 + ui.imag ** 2
+        # lap = (-u[:-4] + 16 u[1:-3] - 30 ui + 16 u[3:-1] - u[4:]) * c2
+        np.negative(u[:-4], out=interior)
+        np.add(interior, np.multiply(16.0, u[1:-3], out=tmp), out=interior)
+        np.subtract(interior, np.multiply(30.0, ui, out=tmp), out=interior)
+        np.add(interior, np.multiply(16.0, u[3:-1], out=tmp), out=interior)
+        np.subtract(interior, u[4:], out=interior)
+        np.multiply(interior, c2, out=interior)
+        np.square(ui.real, out=dens)
+        np.add(dens, np.square(ui.imag, out=dens_im), out=dens)
+        np.multiply(0.5, interior, out=interior)
         if variant == "original-psi":
-            interior = 0.5 * lap - s * (g_int * dens) * ui
+            # 0.5 lap - s (g |u|^2) u
+            np.multiply(g_int, dens, out=dens)
+            np.multiply(s, dens, out=dens)
+            np.subtract(interior, np.multiply(dens, ui, out=tmp), out=interior)
         elif variant == "transformed-bright":
-            interior = 0.5 * lap + dens * ui
-        else:  # transformed-dark-rotated
-            interior = 0.5 * lap - (dens - 1.0) * ui
+            # 0.5 lap + |u|^2 u
+            np.add(interior, np.multiply(dens, ui, out=tmp), out=interior)
+        else:  # transformed-dark-rotated: 0.5 lap - (|u|^2 - 1) u
+            np.subtract(dens, 1.0, out=dens)
+            np.subtract(interior, np.multiply(dens, ui, out=tmp), out=interior)
         if adv_int is not None:
-            du = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) * c1
-            interior = interior + adv_int * du
+            # + adv (u[:-4] - 8 u[1:-3] + 8 u[3:-1] - u[4:]) * c1
+            np.subtract(u[:-4], np.multiply(8.0, u[1:-3], out=tmp), out=du)
+            np.add(du, np.multiply(8.0, u[3:-1], out=tmp), out=du)
+            np.subtract(du, u[4:], out=du)
+            np.multiply(du, c1, out=du)
+            np.add(interior, np.multiply(adv_int, du, out=du), out=interior)
         if veff_int is not None:
-            interior = interior - veff_int * ui
-        out = np.zeros_like(u)
-        out[2:-2] = 1j * interior
+            np.subtract(interior, np.multiply(veff_int, ui, out=tmp), out=interior)
+        np.multiply(1j, interior, out=out[2:-2])
         return out
 
-    return rhs_array
+    return rhs_into
 
 
 def rhs(problem: EvolutionProblem, field: ComplexField, t: float = 0.0) -> ComplexField:
@@ -132,7 +174,28 @@ def rhs(problem: EvolutionProblem, field: ComplexField, t: float = 0.0) -> Compl
     """
     if field.grid is not problem.grid and field.grid != problem.grid:
         raise ConfigurationError("field grid differs from problem grid")
-    return ComplexField(problem.grid, _make_rhs(problem)(t, field.values))
+    out = np.zeros(problem.grid.n_points, dtype=np.complex128)
+    return ComplexField(problem.grid, _rhs_kernel(problem)(t, field.values, out))
+
+
+def rk4_step(rhs_into, t: float, u: np.ndarray, dt: float,
+             work: tuple[np.ndarray, ...]) -> None:
+    """One classical RK4 step from t to t + dt, advancing u in place.
+
+    work holds five field-sized arrays: the stages k1..k4, whose clamped
+    rows must be zero, and the stage state.
+    """
+    k1, k2, k3, k4, y = work
+    h = 0.5 * dt
+    rhs_into(t, u, k1)
+    rhs_into(t + h, np.add(u, np.multiply(h, k1, out=y), out=y), k2)
+    rhs_into(t + h, np.add(u, np.multiply(h, k2, out=y), out=y), k3)
+    rhs_into(t + dt, np.add(u, np.multiply(dt, k3, out=y), out=y), k4)
+    # u + (dt/6) (k1 + 2 k2 + 2 k3 + k4)
+    np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+    np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+    np.add(k1, k4, out=k1)
+    np.add(u, np.multiply(dt / 6.0, k1, out=k1), out=u)
 
 
 def conserved_quantities(problem: EvolutionProblem, field: ComplexField) -> dict[str, float]:
@@ -166,6 +229,21 @@ class PdeTrajectory:
         return ComplexField(grid, self.fields[index].copy())
 
 
+def check_time_step(dt: float, grid: SpatialGrid, stepper: str) -> None:
+    """Raise ConfigurationError unless stepper is known and dt within its bound.
+
+    The bound is dt <= STABILITY_FACTORS[stepper] * dx^2 on the grid.
+    """
+    if stepper not in STEPPERS:
+        raise ConfigurationError(f"unknown stepper {stepper!r}")
+    dx = grid.dx
+    bound = STABILITY_FACTORS[stepper] * dx * dx
+    if not 0.0 < dt <= bound * (1.0 + 1e-12):
+        raise ConfigurationError(
+            f"dt = {dt:g} violates the {stepper} stability bound {bound:g} for dx = {dx:g}"
+        )
+
+
 def evolve(
     problem: EvolutionProblem,
     field0: ComplexField,
@@ -183,14 +261,8 @@ def evolve(
     the detection time; a relative drift of the conserved norm beyond
     norm_drift_tol sets the trajectory's warning flag.
     """
-    if stepper not in STEPPERS:
-        raise ConfigurationError(f"unknown stepper {stepper!r}")
+    check_time_step(dt, problem.grid, stepper)
     dx = problem.grid.dx
-    bound = STABILITY_FACTOR * dx * dx
-    if not 0.0 < dt <= bound * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"dt = {dt:g} violates the stability bound {bound:g} for dx = {dx:g}"
-        )
     span = t_end - t0
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
@@ -203,7 +275,7 @@ def evolve(
     if field0.grid != problem.grid:
         raise ConfigurationError("initial field grid differs from problem grid")
 
-    rhs_array = _make_rhs(problem)
+    rhs_into = _rhs_kernel(problem)
     inv_g = problem._inv_g
     is_psi = problem.variant == "original-psi"
     conserved_name = "N_psi" if is_psi else "N_w"
@@ -220,28 +292,45 @@ def evolve(
     fields[0] = u
     conserved[0] = norm_of(u)
 
-    hist: list[np.ndarray] = []  # abm4 derivative history, newest first
+    # every array the kernel writes keeps its clamped rows at zero
+    work = tuple(np.zeros_like(u) for _ in range(5))
+    if stepper == "abm4":
+        hist = [np.zeros_like(u) for _ in range(4)]  # derivatives, newest first
+        n_hist = 0
+        acc = np.empty_like(u)
+        tmp = np.empty_like(u)
 
     with np.errstate(all="ignore"):
         for k in range(n_steps):
             t = t0 + k * dt
             if stepper == "rk4":
-                u = rk4_step(rhs_array, t, u, dt)
+                rk4_step(rhs_into, t, u, dt, work)
             else:
-                if not hist:
-                    hist.append(rhs_array(t, u))
-                if len(hist) < 4:
-                    u = rk4_step(rhs_array, t, u, dt)
-                    hist.insert(0, rhs_array(t + dt, u))
+                # f3 is the oldest entry, or unused during the bootstrap;
+                # it takes the new derivative and becomes the newest
+                f0, f1, f2, f3 = hist
+                if n_hist < 4:  # rk4 bootstrap of the history
+                    if n_hist == 0:
+                        rhs_into(t, u, f0)
+                        n_hist = 1
+                    rk4_step(rhs_into, t, u, dt, work)
+                    n_hist += 1
                 else:
-                    f0, f1, f2, f3 = hist[0], hist[1], hist[2], hist[3]
-                    u_pred = u + dt * (_AB4[0] * f0 + _AB4[1] * f1
-                                       + _AB4[2] * f2 + _AB4[3] * f3)
-                    f_pred = rhs_array(t + dt, u_pred)
-                    u = u + dt * (_AM4[0] * f_pred + _AM4[1] * f0
-                                  + _AM4[2] * f1 + _AM4[3] * f2)
-                    hist.insert(0, rhs_array(t + dt, u))
-                    hist.pop()
+                    # predictor u + dt (AB0 f0 + AB1 f1 + AB2 f2 + AB3 f3)
+                    np.multiply(_AB4[0], f0, out=acc)
+                    np.add(acc, np.multiply(_AB4[1], f1, out=tmp), out=acc)
+                    np.add(acc, np.multiply(_AB4[2], f2, out=tmp), out=acc)
+                    np.add(acc, np.multiply(_AB4[3], f3, out=tmp), out=acc)
+                    np.add(u, np.multiply(dt, acc, out=acc), out=acc)
+                    f_pred = rhs_into(t + dt, acc, f3)
+                    # corrector u + dt (AM0 f_pred + AM1 f0 + AM2 f1 + AM3 f2)
+                    np.multiply(_AM4[0], f_pred, out=acc)
+                    np.add(acc, np.multiply(_AM4[1], f0, out=tmp), out=acc)
+                    np.add(acc, np.multiply(_AM4[2], f1, out=tmp), out=acc)
+                    np.add(acc, np.multiply(_AM4[3], f2, out=tmp), out=acc)
+                    np.add(u, np.multiply(dt, acc, out=acc), out=u)
+                rhs_into(t + dt, u, f3)
+                hist = [f3, f0, f1, f2]
             if (k + 1) % sample_every == 0:
                 j = (k + 1) // sample_every
                 if not np.all(np.isfinite(u.real)) or not np.all(np.isfinite(u.imag)):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gpsol.cli as cli
+import gpsol.harness
 import gpsol.validate
 from gpsol.errors import InstabilityError, RangeError
 from gpsol.harness import ExperimentConfig, RunRecord
@@ -54,6 +55,19 @@ def test_run_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg), "--D", "-100"]) == 4
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_run_rejects_over_bound_dt_pde_before_any_tier(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gpsol.harness, "abm4_integrate", lambda *args: calls.append(args))
+    cfg = _write_config(tmp_path, "mode = dark\nA0 = 0.5\nt_max = 10\n"
+                                  "sample_interval = 100\n")
+    rc = cli.main(["run", "--config", str(cfg), "--dt-pde", "4e-3",
+                   "--tiers", "ode-full,pde", "--out", str(tmp_path / "run.csv")])
+    assert rc == 2
+    assert calls == []
+    assert "stability bound" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_run_reports_instability(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gpsol import harness
 from gpsol.errors import ConfigurationError, SingularityError
 from gpsol.harness import (
     CSV_HEADER,
@@ -181,6 +182,16 @@ def test_ode_only_run():
     assert rec.aux_ode is not None
     assert rec.aux_ode[0] == 0.25
     assert rec.aux_ode[-1] < 0.25
+
+
+def test_over_bound_dt_pde_fails_before_any_tier(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "abm4_integrate", lambda *args: calls.append(args))
+    cfg = ExperimentConfig(mode="dark", A0=0.5, t_max=10.0, dt_pde=4e-3,
+                           sample_interval=100, tiers=("ode-full", "pde"))
+    with pytest.raises(ConfigurationError, match="stability bound"):
+        run_experiment(cfg)
+    assert calls == []
 
 
 def test_full_run_small_grid(tmp_path):

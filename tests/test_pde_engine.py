@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from gpsol.errors import ConfigurationError, InstabilityError
+from gpsol import pde_engine
 from gpsol.grid_field import ComplexField, build_grid
-from gpsol.inhomogeneity import make_homogeneous, make_inverse_square
+from gpsol.inhomogeneity import make_generic, make_homogeneous, make_inverse_square
+from gpsol.ode_engine import _AB4, _AM4, rk4_step as reference_rk4_step
 from gpsol.pde_engine import (
-    STABILITY_FACTOR,
+    STABILITY_FACTORS,
+    VARIANTS,
     EvolutionProblem,
     conserved_quantities,
     evolve,
@@ -113,7 +116,7 @@ def test_conserved_quantity_names():
 def test_evolve_validation():
     grid, problem = _dark_setup(15.0, 641)
     field = dark.ansatz(dark.DarkSolitonParams(A=0.0, x0=0.0), grid)
-    bound = STABILITY_FACTOR * grid.dx ** 2
+    bound = STABILITY_FACTORS["rk4"] * grid.dx ** 2
     with pytest.raises(ConfigurationError):
         evolve(problem, field, 0.0, 1.0, 2.0 * bound, 1)
     with pytest.raises(ConfigurationError):
@@ -127,6 +130,29 @@ def test_evolve_validation():
     other = build_grid(-15.0, 15.0, 321)
     with pytest.raises(ConfigurationError):
         evolve(problem, ComplexField(other, np.ones(321)), 0.0, 1.0, 1e-4, 1)
+
+
+def test_abm4_has_its_own_stability_bound(monkeypatch):
+    # on the default grid 2e-3 is 0.373 dx^2: inside the RK4 bound, past
+    # the knee of ABM4's growth of the grid-scale mode
+    grid = build_grid(-150.0, 150.0, 4097)
+    problem = EvolutionProblem("transformed-dark-rotated",
+                               make_inverse_square(1.0, -200.0, grid), grid)
+    field0 = dark.ansatz(dark.DarkSolitonParams(A=0.5, x0=0.0), grid)
+    steps = []
+    real_step = pde_engine.rk4_step
+
+    def counting_step(rhs_into, t, u, dt, work):
+        steps.append(t)
+        real_step(rhs_into, t, u, dt, work)
+
+    monkeypatch.setattr(pde_engine, "rk4_step", counting_step)
+    with pytest.raises(ConfigurationError, match="abm4 stability bound"):
+        evolve(problem, field0, 0.0, 8e-3, 2e-3, 4, stepper="abm4")
+    assert steps == []
+    traj = evolve(problem, field0, 0.0, 8e-3, 2e-3, 4, stepper="rk4")
+    assert len(steps) == 4
+    assert np.all(np.isfinite(traj.fields))
 
 
 @pytest.mark.parametrize("stepper", ["rk4", "abm4"])
@@ -188,3 +214,108 @@ def test_field_at_and_drift_flag():
     assert np.array_equal(snap.values, traj.fields[1])
     snap.values[0] = 99.0
     assert traj.fields[1][0] != 99.0
+
+
+def _reference_rhs(problem):
+    """The allocating du/dt closure that the buffered kernel replaced."""
+    dx = problem.grid.dx
+    c2 = 1.0 / (12.0 * dx * dx)
+    c1 = 1.0 / (12.0 * dx)
+    g_int = problem._g[2:-2]
+    adv_int = problem._adv[2:-2] if problem._adv is not None else None
+    veff_int = problem._veff[2:-2] if problem._veff is not None else None
+
+    def rhs_array(t, u):
+        ui = u[2:-2]
+        lap = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * ui
+               + 16.0 * u[3:-1] - u[4:]) * c2
+        dens = ui.real ** 2 + ui.imag ** 2
+        if problem.variant == "original-psi":
+            interior = 0.5 * lap - problem.s * (g_int * dens) * ui
+        elif problem.variant == "transformed-bright":
+            interior = 0.5 * lap + dens * ui
+        else:
+            interior = 0.5 * lap - (dens - 1.0) * ui
+        if adv_int is not None:
+            du = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) * c1
+            interior = interior + adv_int * du
+        if veff_int is not None:
+            interior = interior - veff_int * ui
+        out = np.zeros_like(u)
+        out[2:-2] = 1j * interior
+        return out
+
+    return rhs_array
+
+
+def _reference_fields(problem, u0, dt, n_steps, every, stepper):
+    """Sampled fields from the allocating RK4 and list-history ABM4 steps."""
+    rhs_array = _reference_rhs(problem)
+    u = u0.copy()
+    fields = [u]
+    hist = []  # newest first
+    for k in range(n_steps):
+        t = k * dt
+        if stepper == "rk4":
+            u = reference_rk4_step(rhs_array, t, u, dt)
+        else:
+            if not hist:
+                hist.append(rhs_array(t, u))
+            if len(hist) < 4:
+                u = reference_rk4_step(rhs_array, t, u, dt)
+                hist.insert(0, rhs_array(t + dt, u))
+            else:
+                f0, f1, f2, f3 = hist
+                u_pred = u + dt * (_AB4[0] * f0 + _AB4[1] * f1
+                                   + _AB4[2] * f2 + _AB4[3] * f3)
+                f_pred = rhs_array(t + dt, u_pred)
+                u = u + dt * (_AM4[0] * f_pred + _AM4[1] * f0
+                              + _AM4[2] * f1 + _AM4[3] * f2)
+                hist.insert(0, rhs_array(t + dt, u))
+                hist.pop()
+        if (k + 1) % every == 0:
+            fields.append(u)
+    return np.array(fields)
+
+
+def _equality_profile(kind, grid):
+    if kind == "inverse-square":
+        return make_inverse_square(1.0, -20.0, grid)
+    if kind == "homogeneous":
+        return make_homogeneous(1.0)
+    # 1/sqrt(g) = 1 + 0.05 cos(x/3): both the advection and the V_eff term are on
+    h = lambda x: 1.0 + 0.05 * np.cos(np.asarray(x) / 3.0)
+    return make_generic(
+        fn_g=lambda x: 1.0 / h(x) ** 2,
+        fn_inv_sqrt_g=h,
+        fn_d1_inv_sqrt_g=lambda x: -0.05 / 3.0 * np.sin(np.asarray(x) / 3.0),
+        fn_d2_inv_sqrt_g=lambda x: -0.05 / 9.0 * np.cos(np.asarray(x) / 3.0),
+        x_lo=-16.0, x_hi=16.0,
+    )
+
+
+@pytest.mark.parametrize("kind", ["inverse-square", "homogeneous", "generic"])
+@pytest.mark.parametrize("stepper", ["rk4", "abm4"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_buffered_steps_equal_allocating_reference(variant, stepper, kind):
+    grid = build_grid(-15.0, 15.0, 257)
+    profile = _equality_profile(kind, grid)
+    if variant == "transformed-dark-rotated":
+        field0 = dark.ansatz(dark.DarkSolitonParams(A=0.5, x0=1.0), grid)
+        problem = EvolutionProblem(variant, profile, grid)
+    else:
+        field0 = bright.ansatz(bright.BrightSolitonParams(eta=0.5, xi=0.25, zeta=1.0), grid)
+        s = -1 if variant == "original-psi" else None
+        problem = EvolutionProblem(variant, profile, grid, s=s)
+    values0 = field0.values.copy()
+    dt, n_steps, every = 2e-3, 40, 4
+    traj = evolve(problem, field0, 0.0, n_steps * dt, dt, every, stepper=stepper)
+    expected = _reference_fields(problem, values0, dt, n_steps, every, stepper)
+    assert np.array_equal(traj.fields, expected)
+    norms = [conserved_quantities(problem, ComplexField(grid, f))[traj.conserved_name]
+             for f in expected]
+    assert np.array_equal(traj.conserved, norms)
+    assert np.array_equal(field0.values, values0)
+    first, second = rhs(problem, field0), rhs(problem, field0)
+    assert not np.shares_memory(first.values, second.values)
+    assert np.array_equal(first.values, _reference_rhs(problem)(0.0, values0))
