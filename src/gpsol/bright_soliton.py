@@ -1,8 +1,8 @@
 """Bright-soliton dynamics: ansatz, reduced ODEs, particle model.
 
 The parameter ODEs live in the scaled time tau = t/2 natural to the
-attractive-interaction equation; FrameClock and frame_convert translate
-between the two clocks.  The field ansatz is
+attractive-interaction equation; the harness resamples them onto the lab
+time axis.  The field ansatz is
 
     u = 2 i eta exp(-2 i xi x - i Phi) sech(2 eta (x - zeta)),
 
@@ -20,12 +20,10 @@ import numpy as np
 from .errors import ExtractionError, ParameterError, RangeError
 from .grid_field import ComplexField, SpatialGrid, simpson, window_indices
 from .inhomogeneity import InhomogeneityProfile
-from .ode_engine import OdeTrajectory
 
 __all__ = [
     "WINDOW_HALFWIDTH_FACTOR",
     "BrightSolitonParams",
-    "FrameClock",
     "ansatz",
     "rhs_full",
     "rhs_taylor",
@@ -33,7 +31,6 @@ __all__ = [
     "eom_rhs",
     "effective_potential",
     "extract_center",
-    "frame_convert",
 ]
 
 # sech^2(2 eta y) < 1e-14 for |y| > 17/(2 eta)
@@ -52,26 +49,6 @@ class BrightSolitonParams:
     def __post_init__(self):
         if not self.eta > 0.0:
             raise ParameterError(f"bright soliton needs eta > 0, got {self.eta}")
-
-
-@dataclass(frozen=True)
-class FrameClock:
-    """A single instant on both clocks: scaled tau = lab t / 2."""
-
-    t: float
-    tau: float
-
-    def __post_init__(self):
-        if abs(self.tau - 0.5 * self.t) > 1e-12 * max(1.0, abs(self.t)):
-            raise ParameterError(f"clock mismatch: t = {self.t}, tau = {self.tau}")
-
-    @classmethod
-    def from_lab(cls, t: float) -> "FrameClock":
-        return cls(t=float(t), tau=0.5 * float(t))
-
-    @classmethod
-    def from_scaled(cls, tau: float) -> "FrameClock":
-        return cls(t=2.0 * float(tau), tau=float(tau))
 
 
 def ansatz(params: BrightSolitonParams, grid: SpatialGrid) -> ComplexField:
@@ -176,18 +153,3 @@ def extract_center(field: ComplexField) -> float:
         raise ExtractionError("field carries no usable density")
     num = simpson(grid.x * dens, grid.dx)
     return num / den
-
-
-def frame_convert(trajectory: OdeTrajectory, to: str = "lab") -> OdeTrajectory:
-    """Relabel a parameter trajectory between scaled and lab clocks.
-
-    to="lab" doubles the time axis (tau -> t), to="scaled" halves it;
-    the two conversions compose to the identity.
-    """
-    if to == "lab":
-        factor = 2.0
-    elif to == "scaled":
-        factor = 0.5
-    else:
-        raise ParameterError(f"unknown frame {to!r}")
-    return OdeTrajectory(times=trajectory.times * factor, states=trajectory.states.copy())

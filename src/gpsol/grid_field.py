@@ -19,9 +19,6 @@ __all__ = [
     "SpatialGrid",
     "ComplexField",
     "build_grid",
-    "derivative1",
-    "derivative2",
-    "integrate",
     "simpson",
     "window_indices",
 ]
@@ -124,16 +121,6 @@ def d2_samples(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def derivative1(field: ComplexField) -> ComplexField:
-    """du/dx on the field's grid."""
-    return ComplexField(field.grid, d1_samples(field.values, field.grid.dx))
-
-
-def derivative2(field: ComplexField) -> ComplexField:
-    """d^2u/dx^2 on the field's grid."""
-    return ComplexField(field.grid, d2_samples(field.values, field.grid.dx))
-
-
 def simpson(values: np.ndarray, dx: float) -> float:
     """Composite Simpson rule over an odd number of samples."""
     n = values.shape[0]
@@ -141,16 +128,6 @@ def simpson(values: np.ndarray, dx: float) -> float:
         raise ConfigurationError(f"Simpson rule needs an odd sample count >= 3, got {n}")
     acc = values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-2:2])
     return float(acc) * dx / 3.0
-
-
-def integrate(values: np.ndarray, grid: SpatialGrid) -> float:
-    """Integral of real samples over the whole grid (composite Simpson)."""
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.shape != (grid.n_points,):
-        raise ConfigurationError(
-            f"integrand needs {grid.n_points} samples, got shape {vals.shape}"
-        )
-    return simpson(vals, grid.dx)
 
 
 def window_indices(grid: SpatialGrid, center: float, half_width: float) -> tuple[int, int]:

@@ -27,7 +27,7 @@ from .errors import ConfigurationError, RangeError, SingularityError
 from .grid_field import ComplexField, SpatialGrid, build_grid, simpson
 from .inhomogeneity import InhomogeneityProfile, make_inverse_square
 from .ode_engine import OdeSystem, abm4_integrate
-from .pde_engine import EvolutionProblem, check_time_step, evolve
+from .pde_engine import STEPPERS, EvolutionProblem, check_time_step, evolve
 
 __all__ = [
     "MODES",
@@ -96,7 +96,7 @@ class ExperimentConfig:
             raise ConfigurationError("t_max must be positive")
         if not self.dt_pde > 0.0 or not self.dt_ode > 0.0:
             raise ConfigurationError("step sizes must be positive")
-        if self.stepper not in ("rk4", "abm4"):
+        if self.stepper not in STEPPERS:
             raise ConfigurationError(f"unknown stepper {self.stepper!r}")
         if not self.tiers:
             raise ConfigurationError("at least one tier is required")

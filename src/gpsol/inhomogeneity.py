@@ -24,16 +24,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .grid_field import ComplexField, SpatialGrid, d1_samples
+from .grid_field import SpatialGrid
 
 __all__ = [
     "InhomogeneityProfile",
-    "EffectivePotentialTerm",
     "make_inverse_square",
     "make_homogeneous",
     "make_generic",
-    "apply_perturbation",
-    "effective_potential_term",
 ]
 
 KINDS = ("inverse-square", "homogeneous", "generic")
@@ -91,14 +88,6 @@ class InhomogeneityProfile:
 
     def contains(self, x_lo: float, x_hi: float) -> bool:
         return x_lo >= self.x_lo and x_hi <= self.x_hi
-
-
-@dataclass(frozen=True)
-class EffectivePotentialTerm:
-    """V_eff(x) sampled on a grid."""
-
-    grid: SpatialGrid
-    values: np.ndarray
 
 
 def make_inverse_square(C: float, D: float, grid: SpatialGrid) -> InhomogeneityProfile:
@@ -188,30 +177,3 @@ def make_generic(
         fn_g=fn_g, fn_inv_sqrt_g=fn_inv_sqrt_g,
         fn_d1_inv_sqrt_g=fn_d1_inv_sqrt_g, fn_d2_inv_sqrt_g=fn_d2_inv_sqrt_g,
     )
-
-
-def effective_potential_term(profile: InhomogeneityProfile, grid: SpatialGrid) -> EffectivePotentialTerm:
-    """V_eff(x) = -(1/2) sqrt(g) d2/dx2 (1/sqrt(g)) sampled on the grid."""
-    _check_domain(profile, grid)
-    vals = -0.5 * profile.potential_coef(grid.x)
-    return EffectivePotentialTerm(grid=grid, values=vals)
-
-
-def apply_perturbation(profile: InhomogeneityProfile, field: ComplexField) -> ComplexField:
-    """P[u] = V_eff * u - (sqrt(g) d/dx(1/sqrt(g))) * du/dx on the field's grid."""
-    grid = field.grid
-    _check_domain(profile, grid)
-    coef = profile.advection_coef(grid.x)
-    du = d1_samples(field.values, grid.dx)
-    vals = -coef * du
-    if profile.kind == "generic":
-        vals = vals - 0.5 * profile.potential_coef(grid.x) * field.values
-    return ComplexField(grid, vals)
-
-
-def _check_domain(profile: InhomogeneityProfile, grid: SpatialGrid) -> None:
-    if not profile.contains(grid.x_min, grid.x_max):
-        raise ConfigurationError(
-            f"grid [{grid.x_min}, {grid.x_max}] outside profile validity "
-            f"[{profile.x_lo}, {profile.x_hi}]"
-        )

@@ -24,9 +24,11 @@ non-finite after about 10 time units; at 0.093 dx^2 the growth is only
 front, and the harness calls it before any tier runs.
 
 The right-hand side kernel writes into caller-owned arrays and keeps its
-stencil temporaries for the whole evolve call, and the RK4 and ABM4 steps
-update preallocated stage and history arrays in place, so a field step
-allocates nothing.
+stencil temporaries for the whole evolve call.  The RK4 and ABM4 steps,
+the step count and the non-finite check belong to ode_engine: evolve
+validates its inputs and hands the kernel to ode_engine.march, which
+advances the field in place; once the steps' work arrays exist, a field
+step allocates nothing.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigurationError, InstabilityError
+from .errors import ConfigurationError
 from .grid_field import ComplexField, SpatialGrid, simpson
 from .inhomogeneity import InhomogeneityProfile
-from .ode_engine import _AB4, _AM4
+from .ode_engine import abm4_step, march, rk4_step, step_count
 
 __all__ = [
     "VARIANTS",
@@ -53,9 +55,9 @@ __all__ = [
 ]
 
 VARIANTS = ("original-psi", "transformed-bright", "transformed-dark-rotated")
-STEPPERS = ("rk4", "abm4")
 # dt <= STABILITY_FACTORS[stepper] * dx^2; see the module docstring
 STABILITY_FACTORS = {"rk4": 0.4, "abm4": 0.34}
+STEPPERS = tuple(STABILITY_FACTORS)
 
 _VARIANT_S = {"transformed-bright": -1, "transformed-dark-rotated": +1}
 
@@ -68,13 +70,10 @@ class EvolutionProblem:
     profile: InhomogeneityProfile
     grid: SpatialGrid
     s: int | None = None
-    boundary: str = "clamped-edges"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
-        if self.boundary != "clamped-edges":
-            raise ConfigurationError(f"unsupported boundary {self.boundary!r}")
         if not self.profile.contains(self.grid.x_min, self.grid.x_max):
             raise ConfigurationError("profile does not cover the grid")
         if self.variant == "original-psi":
@@ -178,36 +177,21 @@ def rhs(problem: EvolutionProblem, field: ComplexField, t: float = 0.0) -> Compl
     return ComplexField(problem.grid, _rhs_kernel(problem)(t, field.values, out))
 
 
-def rk4_step(rhs_into, t: float, u: np.ndarray, dt: float,
-             work: tuple[np.ndarray, ...]) -> None:
-    """One classical RK4 step from t to t + dt, advancing u in place.
-
-    work holds five field-sized arrays: the stages k1..k4, whose clamped
-    rows must be zero, and the stage state.
-    """
-    k1, k2, k3, k4, y = work
-    h = 0.5 * dt
-    rhs_into(t, u, k1)
-    rhs_into(t + h, np.add(u, np.multiply(h, k1, out=y), out=y), k2)
-    rhs_into(t + h, np.add(u, np.multiply(h, k2, out=y), out=y), k3)
-    rhs_into(t + dt, np.add(u, np.multiply(dt, k3, out=y), out=y), k4)
-    # u + (dt/6) (k1 + 2 k2 + 2 k3 + k4)
-    np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-    np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-    np.add(k1, k4, out=k1)
-    np.add(u, np.multiply(dt / 6.0, k1, out=k1), out=u)
-
-
 def conserved_quantities(problem: EvolutionProblem, field: ComplexField) -> dict[str, float]:
     """The conserved norm of the variant's frame.
 
     original-psi conserves N_psi = integral |Psi|^2; the transformed
     variants conserve N_w = integral |u|^2 / g.
     """
-    dens = field.values.real ** 2 + field.values.imag ** 2
+    name = "N_psi" if problem.variant == "original-psi" else "N_w"
+    return {name: _norm(problem, field.values)}
+
+
+def _norm(problem: EvolutionProblem, u: np.ndarray) -> float:
+    dens = u.real ** 2 + u.imag ** 2
     if problem.variant == "original-psi":
-        return {"N_psi": simpson(dens, problem.grid.dx)}
-    return {"N_w": simpson(dens * problem._inv_g, problem.grid.dx)}
+        return simpson(dens, problem.grid.dx)
+    return simpson(dens * problem._inv_g, problem.grid.dx)
 
 
 @dataclass
@@ -224,9 +208,6 @@ class PdeTrajectory:
         ns = self.times.shape[0]
         if self.fields.shape[0] != ns or self.conserved.shape[0] != ns:
             raise ConfigurationError("trajectory arrays disagree in length")
-
-    def field_at(self, grid: SpatialGrid, index: int) -> ComplexField:
-        return ComplexField(grid, self.fields[index].copy())
 
 
 def check_time_step(dt: float, grid: SpatialGrid, stepper: str) -> None:
@@ -262,11 +243,7 @@ def evolve(
     norm_drift_tol sets the trajectory's warning flag.
     """
     check_time_step(dt, problem.grid, stepper)
-    dx = problem.grid.dx
-    span = t_end - t0
-    n_steps = int(round(span / dt))
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ConfigurationError(f"span {span} is not an integer multiple of dt {dt}")
+    n_steps = step_count(t0, t_end, dt)
     sample_every = int(sample_every)
     if sample_every < 1 or n_steps % sample_every != 0:
         raise ConfigurationError(
@@ -275,70 +252,22 @@ def evolve(
     if field0.grid != problem.grid:
         raise ConfigurationError("initial field grid differs from problem grid")
 
-    rhs_into = _rhs_kernel(problem)
-    inv_g = problem._inv_g
-    is_psi = problem.variant == "original-psi"
-    conserved_name = "N_psi" if is_psi else "N_w"
-
-    def norm_of(u: np.ndarray) -> float:
-        dens = u.real ** 2 + u.imag ** 2
-        return simpson(dens if is_psi else dens * inv_g, dx)
-
     n_samples = n_steps // sample_every + 1
     times = t0 + (dt * sample_every) * np.arange(n_samples)
     fields = np.empty((n_samples, problem.grid.n_points), dtype=np.complex128)
     conserved = np.empty(n_samples)
+
+    def record(j: int, u: np.ndarray) -> None:
+        fields[j] = u
+        conserved[j] = _norm(problem, u)
+
     u = field0.values.copy()
-    fields[0] = u
-    conserved[0] = norm_of(u)
-
-    # every array the kernel writes keeps its clamped rows at zero
-    work = tuple(np.zeros_like(u) for _ in range(5))
-    if stepper == "abm4":
-        hist = [np.zeros_like(u) for _ in range(4)]  # derivatives, newest first
-        n_hist = 0
-        acc = np.empty_like(u)
-        tmp = np.empty_like(u)
-
+    record(0, u)
+    # looked up in this module at each call, so that a wrapper installed
+    # on pde_engine.rk4_step is the step that runs
+    step = rk4_step if stepper == "rk4" else abm4_step
     with np.errstate(all="ignore"):
-        for k in range(n_steps):
-            t = t0 + k * dt
-            if stepper == "rk4":
-                rk4_step(rhs_into, t, u, dt, work)
-            else:
-                # f3 is the oldest entry, or unused during the bootstrap;
-                # it takes the new derivative and becomes the newest
-                f0, f1, f2, f3 = hist
-                if n_hist < 4:  # rk4 bootstrap of the history
-                    if n_hist == 0:
-                        rhs_into(t, u, f0)
-                        n_hist = 1
-                    rk4_step(rhs_into, t, u, dt, work)
-                    n_hist += 1
-                else:
-                    # predictor u + dt (AB0 f0 + AB1 f1 + AB2 f2 + AB3 f3)
-                    np.multiply(_AB4[0], f0, out=acc)
-                    np.add(acc, np.multiply(_AB4[1], f1, out=tmp), out=acc)
-                    np.add(acc, np.multiply(_AB4[2], f2, out=tmp), out=acc)
-                    np.add(acc, np.multiply(_AB4[3], f3, out=tmp), out=acc)
-                    np.add(u, np.multiply(dt, acc, out=acc), out=acc)
-                    f_pred = rhs_into(t + dt, acc, f3)
-                    # corrector u + dt (AM0 f_pred + AM1 f0 + AM2 f1 + AM3 f2)
-                    np.multiply(_AM4[0], f_pred, out=acc)
-                    np.add(acc, np.multiply(_AM4[1], f0, out=tmp), out=acc)
-                    np.add(acc, np.multiply(_AM4[2], f1, out=tmp), out=acc)
-                    np.add(acc, np.multiply(_AM4[3], f2, out=tmp), out=acc)
-                    np.add(u, np.multiply(dt, acc, out=acc), out=u)
-                rhs_into(t + dt, u, f3)
-                hist = [f3, f0, f1, f2]
-            if (k + 1) % sample_every == 0:
-                j = (k + 1) // sample_every
-                if not np.all(np.isfinite(u.real)) or not np.all(np.isfinite(u.imag)):
-                    raise InstabilityError(
-                        f"non-finite field at t = {times[j]:g}", t_fail=float(times[j])
-                    )
-                fields[j] = u
-                conserved[j] = norm_of(u)
+        march(step, _rhs_kernel(problem), u, t0, dt, n_steps, sample_every, record)
 
     c0 = conserved[0]
     scale = abs(c0) if abs(c0) > 1e-300 else 1.0
@@ -347,6 +276,6 @@ def evolve(
         times=times,
         fields=fields,
         conserved=conserved,
-        conserved_name=conserved_name,
+        conserved_name="N_psi" if problem.variant == "original-psi" else "N_w",
         norm_drift_warning=bool(drift > norm_drift_tol),
     )

@@ -1,4 +1,4 @@
-"""Bright soliton ansatz, reduced tiers, frames, and center extraction.
+"""Bright soliton ansatz, reduced tiers, and center extraction.
 
 Quadrature expectations frozen from adaptive Gauss-Kronrod integration of
 the same integrals (C = 1, D = -200, window half-width 17/(2 eta)).
@@ -10,7 +10,6 @@ import pytest
 from gpsol.errors import ExtractionError, ParameterError, RangeError
 from gpsol.grid_field import ComplexField, build_grid, simpson
 from gpsol.inhomogeneity import make_inverse_square
-from gpsol.ode_engine import OdeTrajectory
 from gpsol import bright_soliton as bright
 
 # (eta, xi, zeta) -> (d eta, d xi, d zeta, d phi) per unit scaled time
@@ -127,27 +126,6 @@ def test_eom_matches_potential_gradient():
                 - bright.effective_potential(z - h, 0.5, 0.0, 1.0, -200.0)) / (2 * h)
         assert bright.eom_rhs(z, 0.5, 0.0, 1.0, -200.0) == pytest.approx(
             -grad, abs=1e-10)
-
-
-def test_frame_clock():
-    c = bright.FrameClock.from_lab(10.0)
-    assert c.tau == 5.0
-    c = bright.FrameClock.from_scaled(5.0)
-    assert c.t == 10.0
-    with pytest.raises(ParameterError):
-        bright.FrameClock(t=10.0, tau=4.0)
-
-
-def test_frame_convert_roundtrip():
-    traj = OdeTrajectory(times=np.array([0.0, 0.5, 1.0]),
-                         states=np.arange(6.0).reshape(3, 2))
-    lab = bright.frame_convert(traj, to="lab")
-    assert np.array_equal(lab.times, [0.0, 1.0, 2.0])
-    back = bright.frame_convert(lab, to="scaled")
-    assert np.array_equal(back.times, traj.times)
-    assert np.array_equal(back.states, traj.states)
-    with pytest.raises(ParameterError):
-        bright.frame_convert(traj, to="galilean")
 
 
 def test_extract_center(grid):

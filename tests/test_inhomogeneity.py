@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from gpsol.errors import ConfigurationError, SingularityError
-from gpsol.grid_field import ComplexField, build_grid
+from gpsol.grid_field import build_grid
 from gpsol.inhomogeneity import (
-    apply_perturbation,
-    effective_potential_term,
     make_generic,
     make_homogeneous,
     make_inverse_square,
@@ -92,46 +90,3 @@ def test_generic_profile_validation():
     negative = lambda x: -ones(x)
     with pytest.raises(ConfigurationError):
         make_generic(negative, ones, ones, ones, -1.0, 1.0)
-
-
-def test_effective_potential_term(grid):
-    p = make_inverse_square(1.0, -200.0, grid)
-    term = effective_potential_term(p, grid)
-    assert np.all(term.values == 0.0)
-
-    h = lambda x: np.exp(-0.25 * np.asarray(x) ** 2)
-    q = make_generic(
-        fn_g=lambda x: np.exp(0.5 * np.asarray(x) ** 2),
-        fn_inv_sqrt_g=h,
-        fn_d1_inv_sqrt_g=lambda x: -0.5 * np.asarray(x) * h(x),
-        fn_d2_inv_sqrt_g=lambda x: (0.25 * np.asarray(x) ** 2 - 0.5) * h(x),
-        x_lo=-6.0, x_hi=6.0,
-    )
-    small = build_grid(-5.0, 5.0, 41)
-    term = effective_potential_term(q, small)
-    expected = -0.5 * (0.25 * small.x ** 2 - 0.5)
-    assert np.max(np.abs(term.values - expected)) < 1e-13
-    with pytest.raises(ConfigurationError):
-        effective_potential_term(q, build_grid(-10.0, 10.0, 41))
-
-
-def test_apply_perturbation_inverse_square(grid):
-    p = make_inverse_square(1.0, -200.0, grid)
-    f = ComplexField(grid, np.sin(grid.x))
-    out = apply_perturbation(p, f)
-    expected = -np.cos(grid.x) / (-200.0 + grid.x)
-    assert np.max(np.abs(out.values - expected)) < 2e-6
-
-
-def test_apply_perturbation_homogeneous_is_zero(grid):
-    p = make_homogeneous(1.0)
-    f = ComplexField(grid, np.exp(1j * grid.x))
-    out = apply_perturbation(p, f)
-    assert np.max(np.abs(out.values)) == 0.0
-
-
-def test_apply_perturbation_checks_domain():
-    p = make_inverse_square(1.0, -200.0, build_grid(-50.0, 50.0, 257))
-    wide = build_grid(-80.0, 80.0, 257)
-    with pytest.raises(ConfigurationError):
-        apply_perturbation(p, ComplexField(wide, np.ones(257)))

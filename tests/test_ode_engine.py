@@ -23,7 +23,11 @@ def test_multistep_weights_frozen():
 
 
 def test_single_rk4_step_local_error():
-    y1 = rk4_step(lambda t, y: y, 0.0, np.array([1.0]), 0.1)
+    def rhs_into(t, y, out):
+        out[:] = y
+
+    y1 = np.array([1.0])
+    rk4_step(rhs_into, 0.0, y1, 0.1, [])
     err = abs(y1[0] - np.exp(0.1))
     assert 1e-9 < err < 1e-7  # fifth-order local truncation, not exact
 

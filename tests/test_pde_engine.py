@@ -1,4 +1,8 @@
-"""Method-of-lines field evolution: variants, stability guard, conservation."""
+"""Method-of-lines field evolution: variants, stability guard, conservation.
+
+Also the in-place RK4 and ABM4 steps, on the field and on the harness's
+parameter ODEs, against the allocating steps they replaced.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +11,9 @@ from gpsol.errors import ConfigurationError, InstabilityError
 from gpsol import pde_engine
 from gpsol.grid_field import ComplexField, build_grid
 from gpsol.inhomogeneity import make_generic, make_homogeneous, make_inverse_square
-from gpsol.ode_engine import _AB4, _AM4, rk4_step as reference_rk4_step
+from gpsol import harness
+from gpsol.harness import ExperimentConfig, run_experiment
+from gpsol.ode_engine import _AB4, _AM4, abm4_integrate, rk4_integrate
 from gpsol.pde_engine import (
     STABILITY_FACTORS,
     VARIANTS,
@@ -39,8 +45,6 @@ def test_variant_validation():
         EvolutionProblem("transformed-bright", profile, grid, s=+1)
     with pytest.raises(ConfigurationError):
         EvolutionProblem("transformed-dark-rotated", profile, grid, s=-1)
-    with pytest.raises(ConfigurationError):
-        EvolutionProblem("transformed-bright", profile, grid, boundary="periodic")
     # explicit matching signs are accepted
     EvolutionProblem("transformed-bright", profile, grid, s=-1)
     EvolutionProblem("transformed-dark-rotated", profile, grid, s=+1)
@@ -209,11 +213,15 @@ def test_field_at_and_drift_flag():
     field0 = dark.ansatz(dark.DarkSolitonParams(A=0.0, x0=0.0), grid)
     traj = evolve(problem, field0, 0.0, 0.01, 1e-4, 50, norm_drift_tol=-1.0)
     assert traj.norm_drift_warning is True  # impossible tolerance must trip
-    snap = traj.field_at(grid, 1)
-    assert snap.grid is grid
-    assert np.array_equal(snap.values, traj.fields[1])
-    snap.values[0] = 99.0
-    assert traj.fields[1][0] != 99.0
+
+
+def _reference_rk4_step(rhs, t, y, dt):
+    """The allocating RK4 step that the in-place one replaced."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
+    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _reference_rhs(problem):
@@ -248,21 +256,20 @@ def _reference_rhs(problem):
     return rhs_array
 
 
-def _reference_fields(problem, u0, dt, n_steps, every, stepper):
-    """Sampled fields from the allocating RK4 and list-history ABM4 steps."""
-    rhs_array = _reference_rhs(problem)
+def _reference_march(rhs_array, u0, dt, n_steps, every, stepper):
+    """Samples from the allocating RK4 and list-history ABM4 steps, from t = 0."""
     u = u0.copy()
     fields = [u]
     hist = []  # newest first
     for k in range(n_steps):
         t = k * dt
         if stepper == "rk4":
-            u = reference_rk4_step(rhs_array, t, u, dt)
+            u = _reference_rk4_step(rhs_array, t, u, dt)
         else:
             if not hist:
                 hist.append(rhs_array(t, u))
             if len(hist) < 4:
-                u = reference_rk4_step(rhs_array, t, u, dt)
+                u = _reference_rk4_step(rhs_array, t, u, dt)
                 hist.insert(0, rhs_array(t + dt, u))
             else:
                 f0, f1, f2, f3 = hist
@@ -310,7 +317,8 @@ def test_buffered_steps_equal_allocating_reference(variant, stepper, kind):
     values0 = field0.values.copy()
     dt, n_steps, every = 2e-3, 40, 4
     traj = evolve(problem, field0, 0.0, n_steps * dt, dt, every, stepper=stepper)
-    expected = _reference_fields(problem, values0, dt, n_steps, every, stepper)
+    expected = _reference_march(_reference_rhs(problem), values0, dt, n_steps, every,
+                                stepper)
     assert np.array_equal(traj.fields, expected)
     norms = [conserved_quantities(problem, ComplexField(grid, f))[traj.conserved_name]
              for f in expected]
@@ -319,3 +327,29 @@ def test_buffered_steps_equal_allocating_reference(variant, stepper, kind):
     first, second = rhs(problem, field0), rhs(problem, field0)
     assert not np.shares_memory(first.values, second.values)
     assert np.array_equal(first.values, _reference_rhs(problem)(0.0, values0))
+
+
+@pytest.mark.parametrize("mode", ["dark", "bright"])
+def test_integrators_equal_allocating_reference(mode, monkeypatch):
+    # the ode-full closures run_experiment hands to the integrator, marched
+    # by both in-place steps against the allocating reference above
+    systems = []
+    real_abm4 = harness.abm4_integrate
+
+    def capture(system, y0, t0, t_end, dt):
+        systems.append((system, y0, t0, t_end, dt))
+        return real_abm4(system, y0, t0, t_end, dt)
+
+    monkeypatch.setattr(harness, "abm4_integrate", capture)
+    if mode == "dark":
+        config = ExperimentConfig(mode="dark", A0=0.5, t_max=0.2, tiers=("ode-full",))
+    else:
+        config = ExperimentConfig(mode="bright", eta0=0.5, xi0=0.25, t_max=0.2,
+                                  tiers=("ode-full",))
+    run_experiment(config)
+    (system, y0, t0, t_end, dt), = systems
+    n_steps = int(round((t_end - t0) / dt))
+    for integrate, stepper in ((rk4_integrate, "rk4"), (abm4_integrate, "abm4")):
+        traj = integrate(system, y0, t0, t_end, dt)
+        expected = _reference_march(system.rhs, y0, dt, n_steps, 1, stepper)
+        assert np.array_equal(traj.states, expected)
