@@ -85,18 +85,23 @@ def rhs_full(params: BrightSolitonParams, profile: InhomogeneityProfile,
     sech2 = 1.0 / np.cosh(z) ** 2
     tanh = np.tanh(z)
     adv = profile.advection_coef(x)
-
-    d_eta = 8.0 * eta * eta * xi * simpson(adv * sech2, dx)
-    d_xi = 8.0 * eta ** 3 * simpson(adv * tanh * tanh * sech2, dx)
-    d_zeta = -4.0 * xi + 8.0 * eta * xi * simpson(adv * (x - zeta) * sech2, dx)
-    d_phi = 4.0 * (xi * xi - eta * eta) + 8.0 * eta * eta * simpson(
-        adv * sech2 * tanh * (1.0 - 2.0 * eta * x * tanh), dx
-    )
-
-    if profile.kind == "generic":
+    adv_sech2 = adv * sech2
+    phase = 1.0 - 2.0 * eta * x * tanh
+    rows = [adv_sech2, adv * tanh * tanh * sech2, adv * (x - zeta) * sech2,
+            adv_sech2 * tanh * phase]
+    generic = profile.kind == "generic"
+    if generic:
         pot = profile.potential_coef(x)
-        d_xi -= 2.0 * eta * eta * simpson(pot * tanh * sech2, dx)
-        d_phi -= 2.0 * eta * simpson(pot * sech2 * (1.0 - 2.0 * eta * x * tanh), dx)
+        rows += [pot * tanh * sech2, pot * sech2 * phase]
+    integrals = simpson(np.array(rows), dx)
+
+    d_eta = 8.0 * eta * eta * xi * integrals[0]
+    d_xi = 8.0 * eta ** 3 * integrals[1]
+    d_zeta = -4.0 * xi + 8.0 * eta * xi * integrals[2]
+    d_phi = 4.0 * (xi * xi - eta * eta) + 8.0 * eta * eta * integrals[3]
+    if generic:
+        d_xi -= 2.0 * eta * eta * integrals[4]
+        d_phi -= 2.0 * eta * integrals[5]
     return float(d_eta), float(d_xi), float(d_zeta), float(d_phi)
 
 
@@ -113,8 +118,14 @@ def _pinned(zeta, eta0: float, zeta0: float, C: float, D: float):
     if not eta0 > 0.0:
         raise ParameterError(f"needs eta0 > 0, got {eta0}")
     w0 = C * zeta0 + D
-    w = C * np.asarray(zeta, dtype=np.float64) + D
-    if w0 == 0.0 or np.any(w == 0.0):
+    # a float (np.float64 included) is tested directly, an array elementwise
+    if isinstance(zeta, float):
+        w = C * zeta + D
+        singular = w == 0.0
+    else:
+        w = C * np.asarray(zeta, dtype=np.float64) + D
+        singular = np.any(w == 0.0)
+    if w0 == 0.0 or singular:
         raise RangeError("center sits on the profile singularity")
     return w, w0
 
@@ -123,14 +134,14 @@ def eta_closed_form(zeta, eta0: float, zeta0: float, C: float, D: float):
     """Amplitude pinned to the center: eta0 (C zeta0 + D)^2 / (C zeta + D)^2."""
     w, w0 = _pinned(zeta, eta0, zeta0, C, D)
     out = eta0 * (w0 / w) ** 2
-    return float(out) if np.ndim(zeta) == 0 else out
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def eom_rhs(zeta, eta0: float, zeta0: float, C: float, D: float):
     """Lab-time center acceleration -(8/3) C eta0^2 (C zeta0 + D)^4/(C zeta + D)^5."""
     w, w0 = _pinned(zeta, eta0, zeta0, C, D)
     out = -(8.0 / 3.0) * C * eta0 ** 2 * w0 ** 4 / w ** 5
-    return float(out) if np.ndim(zeta) == 0 else out
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def effective_potential(zeta, eta0: float, zeta0: float, C: float, D: float):
@@ -141,7 +152,7 @@ def effective_potential(zeta, eta0: float, zeta0: float, C: float, D: float):
     """
     w, w0 = _pinned(zeta, eta0, zeta0, C, D)
     out = -(2.0 / 3.0) * eta0 ** 2 * w0 ** 4 / w ** 4
-    return float(out) if np.ndim(zeta) == 0 else out
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def extract_center(field: ComplexField) -> float:

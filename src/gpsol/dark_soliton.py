@@ -95,17 +95,20 @@ def rhs_full(params: DarkSolitonParams, profile: InhomogeneityProfile,
     th = B * (x - params.x0)
     sech2 = 1.0 / np.cosh(th) ** 2
     tanh = np.tanh(th)
-    adv = profile.advection_coef(x)
-
-    dA = 0.5 * B ** 3 * simpson(adv * sech2 * sech2, dx)
-    dx0 = A - 0.5 * A * simpson(adv * sech2 * (tanh + th * sech2), dx)
-
-    if profile.kind == "generic":
+    adv_sech2 = profile.advection_coef(x) * sech2
+    rows = [adv_sech2 * sech2, adv_sech2 * (tanh + th * sech2)]
+    generic = profile.kind == "generic"
+    if generic:
         pot = profile.potential_coef(x)
-        dA += 0.25 * B * B * simpson(pot * tanh * sech2, dx)
-        dx0 -= 0.25 * simpson(
-            pot * (tanh * tanh / B - 1.0 + (x - params.x0) * tanh * sech2), dx
-        )
+        rows += [pot * tanh * sech2,
+                 pot * (tanh * tanh / B - 1.0 + (x - params.x0) * tanh * sech2)]
+    integrals = simpson(np.array(rows), dx)
+
+    dA = 0.5 * B ** 3 * integrals[0]
+    dx0 = A - 0.5 * A * integrals[1]
+    if generic:
+        dA += 0.25 * B * B * integrals[2]
+        dx0 -= 0.25 * integrals[3]
     return float(dA), float(dx0)
 
 
@@ -134,7 +137,9 @@ def rhs_taylor(params: DarkSolitonParams, profile: InhomogeneityProfile) -> tupl
 
 
 def _check_regular(w) -> None:
-    if np.any(np.asarray(w) == 0.0):
+    # a float (np.float64 included) is tested directly, an array elementwise
+    singular = w == 0.0 if isinstance(w, float) else np.any(np.asarray(w) == 0.0)
+    if singular:
         raise RangeError("particle sits on the profile singularity")
 
 

@@ -8,7 +8,7 @@ carry an odd number of points (an even number of intervals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -121,13 +121,20 @@ def d2_samples(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def simpson(values: np.ndarray, dx: float) -> float:
-    """Composite Simpson rule over an odd number of samples."""
-    n = values.shape[0]
+def simpson(values: np.ndarray, dx: float) -> float | np.ndarray:
+    """Composite Simpson rule over an odd number of samples on the last axis.
+
+    A 1-D input gives a float; a 2-D input gives one integral per row, each
+    bitwise equal to the 1-D rule applied to that row alone.
+    """
+    n = values.shape[-1]
     if n < 3 or n % 2 == 0:
         raise ConfigurationError(f"Simpson rule needs an odd sample count >= 3, got {n}")
-    acc = values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-2:2])
-    return float(acc) * dx / 3.0
+    acc = (values[..., 0] + values[..., -1] + 4.0 * np.sum(values[..., 1:-1:2], axis=-1)
+           + 2.0 * np.sum(values[..., 2:-2:2], axis=-1))
+    if values.ndim == 1:
+        return float(acc) * dx / 3.0
+    return acc * dx / 3.0
 
 
 def window_indices(grid: SpatialGrid, center: float, half_width: float) -> tuple[int, int]:
@@ -143,8 +150,8 @@ def window_indices(grid: SpatialGrid, center: float, half_width: float) -> tuple
             f"window [{lo:.3f}, {hi:.3f}] exceeds grid [{grid.x_min}, {grid.x_max}]"
         )
     x = grid.x
-    i0 = int(np.searchsorted(x, lo, side="left"))
-    i1 = int(np.searchsorted(x, hi, side="right"))
+    i0 = int(x.searchsorted(lo, side="left"))
+    i1 = int(x.searchsorted(hi, side="right"))
     if (i1 - i0) % 2 == 0:
         i1 -= 1
     if i1 - i0 < 3:

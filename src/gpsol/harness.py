@@ -12,12 +12,25 @@ and records every tier's center on a shared lab-time axis, auxiliary
 amplitude diagnostics, the PDE conserved norm, and per-tier differences
 against the PDE center.  Records serialize to CSV with a fixed column
 schema so identical configs produce byte-identical files.
+
+The reduced tiers (all but pde) are rows of one table, _REDUCED: per mode
+and tier, a time frame (lab time, or tau = t/2 for the bright parameter
+ODEs), the initial state, a right-hand side returning a tuple, and the
+state columns of the center and the amplitude.  All requested tiers of
+one frame march together as one stacked system in a single ABM4 call, so
+the per-step cost of the integrator is paid once per frame: dark runs
+march ode-full, ode-taylor, eom and eom-a together in lab time; bright
+runs march ode-full and ode-taylor in tau and eom alone in lab time.  The
+integrator acts elementwise, so each tier's trajectory is bitwise the one
+it has alone.  When two tiers of one frame would both fail, the one that
+fails first in time raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -257,84 +270,113 @@ class RunRecord:
                 raise ConfigurationError(f"series {name!r} is off the time axis")
 
 
-def _dark_tiers(config: ExperimentConfig, profile: InhomogeneityProfile,
-                grid: SpatialGrid, stride: int):
-    C, D = config.C, config.D
+def _dark_full(y, config, profile, grid):
+    return dark.rhs_full(dark.DarkSolitonParams(A=float(y[0]), x0=float(y[1])),
+                         profile, grid)
+
+
+def _dark_taylor(y, config, profile, grid):
+    return dark.rhs_taylor(dark.DarkSolitonParams(A=float(y[0]), x0=float(y[1])),
+                           profile)
+
+
+def _dark_eom(y, config, profile, grid):
+    return y[1], dark.eom_rhs(y[0], y[1], config.C, config.D)
+
+
+def _dark_eom_a(y, config, profile, grid):
+    return y[1], dark.eom_a_rhs(y[0], config.C, config.D)
+
+
+def _bright_full(y, config, profile, grid):
+    params = bright.BrightSolitonParams(eta=float(y[0]), xi=float(y[1]),
+                                        zeta=float(y[2]), phi=float(y[3]))
+    return bright.rhs_full(params, profile, grid)
+
+
+def _bright_taylor(y, config, profile, grid):
+    params = bright.BrightSolitonParams(eta=float(y[0]), xi=float(y[1]),
+                                        zeta=float(y[2]))
+    return bright.rhs_taylor(params, profile)
+
+
+def _bright_eom(y, config, profile, grid):
+    # the center equation lives in lab time with velocity -2 xi
+    return y[1], bright.eom_rhs(y[0], config.eta0, config.zeta0, config.C, config.D)
+
+
+@dataclass(frozen=True)
+class _Reduced:
+    """One reduced tier: time frame, initial state, right-hand side, columns.
+
+    rhs(y, config, profile, grid) returns the tier's derivative as a tuple;
+    center and amplitude are columns of the tier's own state.
+    """
+
+    frame: str
+    y0: Callable[[ExperimentConfig], tuple[float, ...]]
+    rhs: Callable[..., tuple]
+    center: int
+    amplitude: int | None = None
+
+
+# time runs at this rate in each frame: bright parameter ODEs use tau = t/2
+_FRAME_RATE = {"lab": 1.0, "tau": 0.5}
+
+# per mode, in order of preference for the amplitude series
+_REDUCED = {
+    "dark": {
+        "ode-full": _Reduced("lab", lambda c: (c.A0, c.x0_0), _dark_full, 1, 0),
+        "ode-taylor": _Reduced("lab", lambda c: (c.A0, c.x0_0), _dark_taylor, 1, 0),
+        "eom": _Reduced("lab", lambda c: (c.x0_0, c.A0), _dark_eom, 0),
+        "eom-a": _Reduced("lab", lambda c: (c.x0_0, c.A0), _dark_eom_a, 0),
+    },
+    "bright": {
+        "ode-full": _Reduced("tau", lambda c: (c.eta0, c.xi0, c.zeta0, c.phi0),
+                             _bright_full, 2, 0),
+        "ode-taylor": _Reduced("tau", lambda c: (c.eta0, c.xi0, c.zeta0),
+                               _bright_taylor, 2, 0),
+        "eom": _Reduced("lab", lambda c: (c.zeta0, -2.0 * c.xi0), _bright_eom, 0),
+    },
+}
+
+
+def _reduced_tiers(config: ExperimentConfig, profile: InhomogeneityProfile,
+                   grid: SpatialGrid):
+    """Centers and amplitude of the requested reduced tiers.
+
+    The tiers of one time frame march together as one stacked system, each
+    tier owning a slice of the state; the integrator acts elementwise, so
+    every tier's trajectory is the one it would have alone.
+    """
+    table = _REDUCED[config.mode]
     centers: dict[str, np.ndarray] = {}
     amplitude = None
-
-    def param_system(reduce_fn):
-        def rhs(t, y):
-            params = dark.DarkSolitonParams(A=float(y[0]), x0=float(y[1]))
-            return np.asarray(reduce_fn(params), dtype=np.float64)
-        return OdeSystem(2, rhs)
-
-    for tier in config.tiers:
-        if tier == "ode-full":
-            system = param_system(lambda p: dark.rhs_full(p, profile, grid))
-        elif tier == "ode-taylor":
-            system = param_system(lambda p: dark.rhs_taylor(p, profile))
-        elif tier == "eom":
-            system = OdeSystem(2, lambda t, y: np.array(
-                [y[1], dark.eom_rhs(y[0], y[1], C, D)]))
-        elif tier == "eom-a":
-            system = OdeSystem(2, lambda t, y: np.array(
-                [y[1], dark.eom_a_rhs(y[0], C, D)]))
-        else:
+    for frame, rate in _FRAME_RATE.items():
+        tiers = [tier for tier, row in table.items()
+                 if row.frame == frame and tier in config.tiers]
+        if not tiers:
             continue
-        if tier in ("ode-full", "ode-taylor"):
-            y0 = np.array([config.A0, config.x0_0])
-            traj = abm4_integrate(system, y0, 0.0, config.t_max, config.dt_ode)
-            centers[tier] = traj.states[::stride, 1].copy()
-            if amplitude is None or tier == "ode-full":
-                amplitude = traj.states[::stride, 0].copy()
-        else:
-            y0 = np.array([config.x0_0, config.A0])
-            traj = abm4_integrate(system, y0, 0.0, config.t_max, config.dt_ode)
-            centers[tier] = traj.states[::stride, 0].copy()
-    return centers, amplitude
+        y0: list[float] = []
+        parts = []  # (tier, row, the tier's slice of the stacked state)
+        for tier in tiers:
+            start = len(y0)
+            y0.extend(table[tier].y0(config))
+            parts.append((tier, table[tier], slice(start, len(y0))))
 
+        def rhs(t, y, parts=parts):
+            out: list[float] = []
+            for _, row, part in parts:
+                out.extend(row.rhs(y[part], config, profile, grid))
+            return np.array(out)
 
-def _bright_tiers(config: ExperimentConfig, profile: InhomogeneityProfile,
-                  grid: SpatialGrid, stride: int):
-    C, D = config.C, config.D
-    eta0, zeta0 = config.eta0, config.zeta0
-    tau_end = 0.5 * config.t_max
-    centers: dict[str, np.ndarray] = {}
-    amplitude = None
-
-    def full_rhs(t, y):
-        params = bright.BrightSolitonParams(eta=float(y[0]), xi=float(y[1]),
-                                            zeta=float(y[2]), phi=float(y[3]))
-        return np.asarray(bright.rhs_full(params, profile, grid), dtype=np.float64)
-
-    def taylor_rhs(t, y):
-        params = bright.BrightSolitonParams(eta=float(y[0]), xi=float(y[1]),
-                                            zeta=float(y[2]))
-        return np.asarray(bright.rhs_taylor(params, profile), dtype=np.float64)
-
-    for tier in config.tiers:
-        if tier == "ode-full":
-            y0 = np.array([config.eta0, config.xi0, config.zeta0, config.phi0])
-            traj = abm4_integrate(OdeSystem(4, full_rhs), y0, 0.0, tau_end,
-                                  config.dt_ode)
-            centers[tier] = traj.states[::stride, 2].copy()
-            amplitude = traj.states[::stride, 0].copy()
-        elif tier == "ode-taylor":
-            y0 = np.array([config.eta0, config.xi0, config.zeta0])
-            traj = abm4_integrate(OdeSystem(3, taylor_rhs), y0, 0.0, tau_end,
-                                  config.dt_ode)
-            centers[tier] = traj.states[::stride, 2].copy()
-            if amplitude is None:
-                amplitude = traj.states[::stride, 0].copy()
-        elif tier == "eom":
-            # the center equation lives in lab time with velocity -2 xi
-            system = OdeSystem(2, lambda t, y: np.array(
-                [y[1], bright.eom_rhs(y[0], eta0, zeta0, C, D)]))
-            y0 = np.array([config.zeta0, -2.0 * config.xi0])
-            lab_stride = _near_integer(config.sample_step / config.dt_ode)
-            traj = abm4_integrate(system, y0, 0.0, config.t_max, config.dt_ode)
-            centers[tier] = traj.states[::lab_stride, 0].copy()
+        traj = abm4_integrate(OdeSystem(len(y0), rhs), np.array(y0), 0.0,
+                              rate * config.t_max, config.dt_ode)
+        stride = _near_integer(rate * config.sample_step / config.dt_ode)
+        for tier, row, part in parts:
+            centers[tier] = traj.states[::stride, part.start + row.center].copy()
+            if amplitude is None and row.amplitude is not None:
+                amplitude = traj.states[::stride, part.start + row.amplitude].copy()
     return centers, amplitude
 
 
@@ -344,10 +386,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     The PDE tier evolves the transformed equation of the mode's frame and
     extracts centers at the sample cadence, aborting with a range error if
     the soliton comes within EDGE_MARGIN of a grid edge.  Parameter-ODE and
-    EOM tiers integrate with the predictor-corrector at dt_ode; bright
-    parameter ODEs run in their half-rate frame and are resampled onto the
-    lab axis.  A dt_pde beyond the stepper's stability bound is rejected
-    before any tier runs.
+    EOM tiers integrate with the predictor-corrector at dt_ode, one stacked
+    system per time frame; bright parameter ODEs run in their half-rate
+    frame and are resampled onto the lab axis.  A dt_pde beyond the
+    stepper's stability bound is rejected before any tier runs.
     """
     grid = build_grid(config.x_min, config.x_max, config.n_points)
     if "pde" in config.tiers:
@@ -356,12 +398,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     n_samples = config.n_samples
     times = config.sample_step * np.arange(n_samples)
 
-    stride = _near_integer(config.sample_step / config.dt_ode
-                           / (2.0 if config.mode == "bright" else 1.0))
-    if config.mode == "dark":
-        centers, amplitude = _dark_tiers(config, profile, grid, stride)
-    else:
-        centers, amplitude = _bright_tiers(config, profile, grid, stride)
+    centers, amplitude = _reduced_tiers(config, profile, grid)
 
     aux_pde = None
     conserved = None

@@ -33,7 +33,7 @@ step allocates nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,8 +266,7 @@ def evolve(
     # looked up in this module at each call, so that a wrapper installed
     # on pde_engine.rk4_step is the step that runs
     step = rk4_step if stepper == "rk4" else abm4_step
-    with np.errstate(all="ignore"):
-        march(step, _rhs_kernel(problem), u, t0, dt, n_steps, sample_every, record)
+    march(step, _rhs_kernel(problem), u, t0, dt, n_steps, sample_every, record)
 
     c0 = conserved[0]
     scale = abs(c0) if abs(c0) > 1e-300 else 1.0

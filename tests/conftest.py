@@ -7,7 +7,6 @@ and shared.  Unit tests use much smaller grids and never touch these.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from gpsol.grid_field import build_grid

@@ -119,6 +119,23 @@ def test_eom_values():
     assert abs(bright.effective_potential(-1e6, 0.5, 0.0, 1.0, -200.0)) < 1e-12
 
 
+@pytest.mark.parametrize("fn", [bright.eta_closed_form, bright.eom_rhs,
+                                bright.effective_potential])
+def test_pinned_scalar_and_array_inputs(fn):
+    # floats (np.float64 included) and 0-d arrays give a float, arrays an array
+    for z in (-60.0, np.float64(-60.0), np.asarray(-60.0), -60):
+        out = fn(z, 0.5, 0.0, 1.0, -200.0)
+        assert type(out) is float
+        assert out == fn(-60.0, 0.5, 0.0, 1.0, -200.0)
+    zs = np.array([-60.0, 0.0])
+    vals = fn(zs, 0.5, 0.0, 1.0, -200.0)
+    assert isinstance(vals, np.ndarray)
+    assert vals == pytest.approx([fn(z, 0.5, 0.0, 1.0, -200.0) for z in zs], rel=1e-15)
+    for singular in (200.0, np.float64(200.0), np.asarray(200.0), np.array([0.0, 200.0])):
+        with pytest.raises(RangeError):
+            fn(singular, 0.5, 0.0, 1.0, -200.0)
+
+
 def test_eom_matches_potential_gradient():
     h = 1e-5
     for z in (-60.0, 0.0, 40.0):

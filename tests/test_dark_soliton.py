@@ -6,8 +6,6 @@ integration of the same integrals (C = 1, D = -200, window half-width
 rounding noise.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -134,6 +132,12 @@ def test_eom_values():
         dark.eom_rhs(200.0, 0.0, 1.0, -200.0)
     with pytest.raises(RangeError):
         dark.eom_a_rhs(200.0, 1.0, -200.0)
+    # the singular point is caught for np.float64 and array centers too
+    for singular in (np.float64(200.0), np.asarray(200.0), np.array([0.0, 200.0])):
+        with pytest.raises(RangeError):
+            dark.eom_rhs(singular, 0.0, 1.0, -200.0)
+        with pytest.raises(RangeError):
+            dark.eom_a_rhs(singular, 1.0, -200.0)
 
 
 def test_effective_potential():

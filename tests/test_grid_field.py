@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpsol.errors import ConfigurationError, RangeError
 from gpsol.grid_field import (
     ComplexField,
-    SpatialGrid,
     build_grid,
     d1_samples,
     d2_samples,
@@ -129,3 +130,70 @@ def test_window_indices_forces_odd_count():
     x = g.x[i0:i1]
     assert np.all(x >= 5.0 - 1.25 - 1e-12)
     assert np.all(x <= 5.0 + 1.25 + 1e-12)
+
+
+ODD_LENGTHS = st.integers(1, 600).map(lambda k: 2 * k + 1)  # 3 .. 1201
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=ODD_LENGTHS, n_rows=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       dx=st.floats(1e-3, 10.0))
+def test_simpson_rows_equal_one_dimensional_rule(n, n_rows, seed, dx):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_rows, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (n_rows, 1))
+    together = simpson(rows, dx)
+    assert together.shape == (n_rows,)
+    for k in range(n_rows):
+        alone = simpson(rows[k], dx)
+        assert isinstance(alone, float)
+        assert together[k] == alone  # bitwise, not approximately
+
+
+COEFS = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefs=st.tuples(COEFS, COEFS, COEFS, COEFS), lo=st.floats(-5.0, 5.0),
+       length=st.floats(0.1, 10.0), n=st.integers(8, 200).map(lambda k: 2 * k + 1))
+def test_simpson_exact_on_cubics(coefs, lo, length, n):
+    a, b, c, d = coefs
+    g = build_grid(lo, lo + length, n)
+    hi = g.x_max
+
+    def antiderivative(x):
+        return a * x ** 4 / 4.0 + b * x ** 3 / 3.0 + c * x ** 2 / 2.0 + d * x
+
+    vals = a * g.x ** 3 + b * g.x ** 2 + c * g.x + d
+    span = max(abs(g.x_min), abs(hi))
+    scale = (g.x_max - g.x_min) * (abs(a) * span ** 3 + abs(b) * span ** 2
+                                   + abs(c) * span + abs(d))
+    expected = antiderivative(hi) - antiderivative(g.x_min)
+    assert abs(simpson(vals, g.dx) - expected) <= 1e-12 * g.n_points * (scale + 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x_min=st.floats(-100.0, 100.0), length=st.floats(1.0, 200.0),
+       n=st.integers(8, 1000).map(lambda k: 2 * k + 1),
+       center_at=st.floats(0.0, 1.0), width_at=st.floats(0.0, 1.0))
+def test_window_indices_odd_inside_grid_and_equal_to_searchsorted(
+        x_min, length, n, center_at, width_at):
+    g = build_grid(x_min, x_min + length, n)
+    center = g.x_min + center_at * (g.x_max - g.x_min)
+    half = width_at * min(center - g.x_min, g.x_max - center)
+    lo, hi = center - half, center + half
+    if lo < g.x_min or hi > g.x_max:  # rounding pushed the window past an edge
+        with pytest.raises(RangeError):
+            window_indices(g, center, half)
+        return
+    i0 = int(np.searchsorted(g.x, lo, side="left"))
+    i1 = int(np.searchsorted(g.x, hi, side="right"))
+    if (i1 - i0) % 2 == 0:
+        i1 -= 1
+    if i1 - i0 < 3:
+        with pytest.raises(RangeError):
+            window_indices(g, center, half)
+        return
+    assert window_indices(g, center, half) == (i0, i1)
+    assert (i1 - i0) % 2 == 1
+    assert 0 <= i0 < i1 <= g.n_points
+    assert np.all((g.x[i0:i1] >= lo) & (g.x[i0:i1] <= hi))

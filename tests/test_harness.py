@@ -232,3 +232,29 @@ def test_bright_ode_run_lab_axis():
     for name in ("ode-full", "ode-taylor", "eom"):
         assert rec.centers[name][-1] == pytest.approx(-1.0, abs=2e-2), name
     assert rec.aux_ode[0] == 0.5
+
+
+@pytest.mark.parametrize("mode,tiers", [
+    ("dark", ("ode-full", "ode-taylor", "eom", "eom-a")),
+    ("bright", ("ode-full", "ode-taylor", "eom")),
+])
+def test_stacked_tiers_equal_tiers_alone(mode, tiers):
+    # the tiers of one time frame march as one stacked system; each must
+    # keep the trajectory it has when it runs alone
+    if mode == "dark":
+        base = dict(mode="dark", A0=0.5, x0_0=2.0, t_max=1.0)
+    else:
+        base = dict(mode="bright", eta0=0.5, xi0=0.25, zeta0=2.0, t_max=1.0)
+    together = run_experiment(ExperimentConfig(tiers=tiers, **base))
+    assert set(together.centers) == set(tiers)
+    for tier in tiers:
+        alone = run_experiment(ExperimentConfig(tiers=(tier,), **base))
+        assert np.array_equal(together.centers[tier], alone.centers[tier]), tier
+        if tier == "ode-full":
+            assert np.array_equal(together.aux_ode, alone.aux_ode)
+        elif tier == "ode-taylor":
+            without_full = run_experiment(
+                ExperimentConfig(tiers=tuple(t for t in tiers if t != "ode-full"), **base))
+            assert np.array_equal(without_full.aux_ode, alone.aux_ode)
+        else:
+            assert alone.aux_ode is None

@@ -1,5 +1,7 @@
 """Fixed-step RK4 and Adams-Bashforth-Moulton integrators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,9 +100,12 @@ def test_state_validation():
 @pytest.mark.parametrize("integrate", [rk4_integrate, abm4_integrate])
 def test_blowup_raises_instability(integrate):
     system = OdeSystem(1, lambda t, y: y * y)  # finite-time blowup at t = 0.5
-    with pytest.raises(InstabilityError) as info:
-        integrate(system, np.array([2.0]), 0.0, 1.0, 0.01)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InstabilityError) as info:
+            integrate(system, np.array([2.0]), 0.0, 1.0, 0.01)
     assert 0.0 < info.value.t_fail <= 1.0
+    assert [str(w.message) for w in caught] == []  # the error alone reports it
 
 
 def test_integrators_do_not_mutate_y0():
