@@ -24,11 +24,13 @@ from .harness import (SCENARIOS, config_from_mapping, run_experiment,
 __all__ = ["main", "script_entry"]
 
 _OVERRIDE_FLAGS = (
-    ("--C", "C"), ("--D", "D"), ("--A0", "A0"), ("--eta0", "eta0"),
-    ("--xi0", "xi0"), ("--t-max", "t_max"), ("--dt-pde", "dt_pde"),
+    ("--C", "C"), ("--D", "D"), ("--A0", "A0"), ("--x0-0", "x0_0"),
+    ("--eta0", "eta0"), ("--xi0", "xi0"), ("--zeta0", "zeta0"),
+    ("--phi0", "phi0"), ("--t-max", "t_max"), ("--dt-pde", "dt_pde"),
     ("--dt-ode", "dt_ode"), ("--x-min", "x_min"), ("--x-max", "x_max"),
     ("--n-points", "n_points"), ("--stepper", "stepper"),
-    ("--tiers", "tiers"), ("--out", "out_path"),
+    ("--tiers", "tiers"), ("--sample-interval", "sample_interval"),
+    ("--out", "out_path"),
 )
 
 

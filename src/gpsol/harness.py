@@ -13,6 +13,10 @@ amplitude diagnostics, the PDE conserved norm, and per-tier differences
 against the PDE center.  Records serialize to CSV with a fixed column
 schema so identical configs produce byte-identical files.
 
+The pde tier reads each field sample while the field marches (evolve's
+on_sample consumer) and keeps no snapshot, so a run's field memory is
+bounded by the grid size, not by t_max.
+
 The reduced tiers (all but pde) are rows of one table, _REDUCED: per mode
 and tier, a time frame (lab time, or tau = t/2 for the bright parameter
 ODEs), the initial state, a right-hand side returning a tuple, and the
@@ -258,6 +262,8 @@ class RunRecord:
     aux_ode: np.ndarray | None
     conserved: np.ndarray | None
     deltas: dict[str, np.ndarray]
+    # the field norm drifted beyond evolve's tolerance; None without the pde tier
+    norm_drift_warning: bool | None = None
 
     def __post_init__(self):
         n = self.times.shape[0]
@@ -384,12 +390,16 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run every requested tier and assemble the record.
 
     The PDE tier evolves the transformed equation of the mode's frame and
-    extracts centers at the sample cadence, aborting with a range error if
-    the soliton comes within EDGE_MARGIN of a grid edge.  Parameter-ODE and
-    EOM tiers integrate with the predictor-corrector at dt_ode, one stacked
-    system per time frame; bright parameter ODEs run in their half-rate
-    frame and are resampled onto the lab axis.  A dt_pde beyond the
-    stepper's stability bound is rejected before any tier runs.
+    extracts the center and the amplitude of each sample as the field
+    marches, so no field snapshot is kept and the run's field memory is
+    bounded by n_points, not by t_max.  It raises RangeError at the first
+    sample whose center comes within EDGE_MARGIN of a grid edge, so a
+    crossing that precedes a blow-up raises RangeError, not
+    InstabilityError; the record keeps the field's norm drift flag.
+    Parameter-ODE and EOM tiers integrate with the predictor-corrector at
+    dt_ode, one stacked system per time frame; bright parameter ODEs run in
+    their half-rate frame and are resampled onto the lab axis.  A dt_pde
+    beyond the stepper's stability bound is rejected before any tier runs.
     """
     grid = build_grid(config.x_min, config.x_max, config.n_points)
     if "pde" in config.tiers:
@@ -402,6 +412,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     aux_pde = None
     conserved = None
+    drift_warning = None
     if "pde" in config.tiers:
         if config.mode == "dark":
             params = dark.DarkSolitonParams(A=config.A0, x0=config.x0_0)
@@ -414,13 +425,12 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             field0 = bright.ansatz(params, grid)
             variant = "transformed-bright"
         problem = EvolutionProblem(variant, profile, grid)
-        trajectory = evolve(problem, field0, 0.0, config.t_max, config.dt_pde,
-                            config.sample_interval, stepper=config.stepper)
         pde_centers = np.empty(n_samples)
         aux_pde = np.empty(n_samples)
         lo, hi = config.x_min + EDGE_MARGIN, config.x_max - EDGE_MARGIN
-        for k in range(n_samples):
-            field = ComplexField(grid, trajectory.fields[k])
+
+        def take(k: int, u: np.ndarray) -> None:
+            field = ComplexField(grid, u)
             if config.mode == "dark":
                 center = dark.extract_center(field, probe)
                 dens = np.abs(field.values) ** 2
@@ -434,8 +444,15 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                     f"edge at t = {times[k]:g}"
                 )
             pde_centers[k] = center
+
+        # sample 0 here, the rest as the field marches: no snapshot is kept
+        take(0, field0.values)
+        trajectory = evolve(problem, field0, 0.0, config.t_max, config.dt_pde,
+                            config.sample_interval, stepper=config.stepper,
+                            on_sample=take)
         centers["pde"] = pde_centers
         conserved = trajectory.conserved
+        drift_warning = trajectory.norm_drift_warning
 
     deltas: dict[str, np.ndarray] = {}
     if "pde" in centers:
@@ -445,7 +462,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     return RunRecord(config=config, times=times, centers=centers,
                      aux_pde=aux_pde, aux_ode=amplitude,
-                     conserved=conserved, deltas=deltas)
+                     conserved=conserved, deltas=deltas,
+                     norm_drift_warning=drift_warning)
 
 
 _PRESETS = {

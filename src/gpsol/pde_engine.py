@@ -29,11 +29,19 @@ the step count and the non-finite check belong to ode_engine: evolve
 validates its inputs and hands the kernel to ode_engine.march, which
 advances the field in place; once the steps' work arrays exist, a field
 step allocates nothing.
+
+Samples go to a consumer on_sample(j, u) with march's contract: it sees
+every sample after the initial one, and u is the live field buffer, valid
+only during the call.  The default consumer stores each sample as a row of
+PdeTrajectory.fields, so that array grows with t_end.  A caller that
+passes its own consumer gets no snapshots (fields has zero rows), and the
+field memory of the run stays bounded by the grid size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -112,7 +120,8 @@ def _rhs_kernel(problem: EvolutionProblem):
     them once when it allocates out.
     """
     dx = problem.grid.dx
-    c2 = 1.0 / (12.0 * dx * dx)
+    # the 0.5 of the kinetic term is folded in; a power of two scales exactly
+    half_c2 = 0.5 / (12.0 * dx * dx)
     c1 = 1.0 / (12.0 * dx)
     variant = problem.variant
     s = problem.s
@@ -130,16 +139,14 @@ def _rhs_kernel(problem: EvolutionProblem):
 
     def rhs_into(t: float, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         ui = u[2:-2]
-        # lap = (-u[:-4] + 16 u[1:-3] - 30 ui + 16 u[3:-1] - u[4:]) * c2
-        np.negative(u[:-4], out=interior)
-        np.add(interior, np.multiply(16.0, u[1:-3], out=tmp), out=interior)
+        # 0.5 lap = (16 u[1:-3] - u[:-4] - 30 ui + 16 u[3:-1] - u[4:]) * half_c2
+        np.subtract(np.multiply(16.0, u[1:-3], out=tmp), u[:-4], out=interior)
         np.subtract(interior, np.multiply(30.0, ui, out=tmp), out=interior)
         np.add(interior, np.multiply(16.0, u[3:-1], out=tmp), out=interior)
         np.subtract(interior, u[4:], out=interior)
-        np.multiply(interior, c2, out=interior)
+        np.multiply(interior, half_c2, out=interior)
         np.square(ui.real, out=dens)
         np.add(dens, np.square(ui.imag, out=dens_im), out=dens)
-        np.multiply(0.5, interior, out=interior)
         if variant == "original-psi":
             # 0.5 lap - s (g |u|^2) u
             np.multiply(g_int, dens, out=dens)
@@ -196,7 +203,11 @@ def _norm(problem: EvolutionProblem, u: np.ndarray) -> float:
 
 @dataclass
 class PdeTrajectory:
-    """Field snapshots at a uniform sampling cadence plus conserved values."""
+    """Sample times and conserved values, plus the field snapshots if stored.
+
+    fields has one row per sample, or none when evolve handed the samples
+    to a caller's consumer instead of storing them.
+    """
 
     times: np.ndarray
     fields: np.ndarray
@@ -206,7 +217,7 @@ class PdeTrajectory:
 
     def __post_init__(self):
         ns = self.times.shape[0]
-        if self.fields.shape[0] != ns or self.conserved.shape[0] != ns:
+        if self.fields.shape[0] not in (ns, 0) or self.conserved.shape[0] != ns:
             raise ConfigurationError("trajectory arrays disagree in length")
 
 
@@ -234,6 +245,7 @@ def evolve(
     sample_every: int,
     stepper: str = "rk4",
     norm_drift_tol: float = 1e-6,
+    on_sample: Callable[[int, np.ndarray], None] | None = None,
 ) -> PdeTrajectory:
     """March the field from t0 to t_end, sampling every sample_every steps.
 
@@ -241,6 +253,11 @@ def evolve(
     sample_every.  Non-finite samples abort with InstabilityError carrying
     the detection time; a relative drift of the conserved norm beyond
     norm_drift_tol sets the trajectory's warning flag.
+
+    Without on_sample every sample, the initial one included, is stored in
+    the trajectory's fields.  With it, on_sample(j, u) receives samples
+    j = 1, 2, ... as the live field buffer, valid only during the call, and
+    fields has zero rows; an exception it raises ends the march.
     """
     check_time_step(dt, problem.grid, stepper)
     n_steps = step_count(t0, t_end, dt)
@@ -254,15 +271,22 @@ def evolve(
 
     n_samples = n_steps // sample_every + 1
     times = t0 + (dt * sample_every) * np.arange(n_samples)
-    fields = np.empty((n_samples, problem.grid.n_points), dtype=np.complex128)
     conserved = np.empty(n_samples)
+    u = field0.values.copy()
+    conserved[0] = _norm(problem, u)
+    if on_sample is None:
+        fields = np.empty((n_samples, problem.grid.n_points), dtype=np.complex128)
+        fields[0] = u
+
+        def on_sample(j: int, u: np.ndarray) -> None:
+            fields[j] = u
+    else:
+        fields = np.empty((0, problem.grid.n_points), dtype=np.complex128)
 
     def record(j: int, u: np.ndarray) -> None:
-        fields[j] = u
         conserved[j] = _norm(problem, u)
+        on_sample(j, u)
 
-    u = field0.values.copy()
-    record(0, u)
     # looked up in this module at each call, so that a wrapper installed
     # on pde_engine.rk4_step is the step that runs
     step = rk4_step if stepper == "rk4" else abm4_step

@@ -137,3 +137,51 @@ def test_stepper_override_reaches_config(tmp_path, monkeypatch):
     assert rc == 0
     assert seen["config"].stepper == "abm4"
     assert seen["config"].tiers == ("ode-full", "eom")
+
+
+BRIGHT_CONFIG = """
+mode = bright
+eta0 = 0.5
+xi0 = 0.0
+t_max = 2.0
+tiers = ode-full
+"""
+MODE_CONFIG = {"dark": ODE_ONLY_CONFIG, "bright": BRIGHT_CONFIG}
+
+
+@pytest.mark.parametrize("mode,flag,value,key,expected", [
+    ("dark", "--x0-0", "3.5", "x0_0", 3.5),
+    ("bright", "--zeta0", "-2.0", "zeta0", -2.0),
+    ("bright", "--phi0", "0.75", "phi0", 0.75),
+    ("dark", "--sample-interval", "400", "sample_interval", 400),
+])
+def test_initial_state_and_cadence_overrides_reach_config(tmp_path, monkeypatch, mode,
+                                                          flag, value, key, expected):
+    seen = {}
+
+    def capture(config):
+        seen["config"] = config
+        return _canned_record(config)
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    cfg = _write_config(tmp_path, MODE_CONFIG[mode])
+    assert cli.main(["run", "--config", str(cfg), flag, value,
+                     "--out", str(tmp_path / "x.csv")]) == 0
+    assert getattr(seen["config"], key) == expected
+
+
+@pytest.mark.parametrize("mode,flag,value", [
+    ("dark", "--x0-0", "-140"),       # inside the edge margin
+    ("dark", "--x0-0", "left"),
+    ("bright", "--zeta0", "nan"),
+    ("bright", "--phi0", "abc"),
+    ("dark", "--sample-interval", "0"),
+    ("dark", "--sample-interval", "2.5"),
+    ("dark", "--phi0", "0.1"),        # a bright key on a dark config
+])
+def test_bad_override_values_exit_2(tmp_path, capsys, mode, flag, value):
+    cfg = _write_config(tmp_path, MODE_CONFIG[mode])
+    assert cli.main(["run", "--config", str(cfg), flag, value,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

@@ -1,10 +1,12 @@
 """Experiment configs, tier assembly, CSV serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gpsol import harness
-from gpsol.errors import ConfigurationError, SingularityError
+from gpsol import harness, pde_engine
+from gpsol.errors import ConfigurationError, RangeError, SingularityError
 from gpsol.harness import (
     CSV_HEADER,
     SCENARIOS,
@@ -258,3 +260,53 @@ def test_stacked_tiers_equal_tiers_alone(mode, tiers):
             assert np.array_equal(without_full.aux_ode, alone.aux_ode)
         else:
             assert alone.aux_ode is None
+
+
+def test_edge_crossing_raises_before_the_march_ends(monkeypatch):
+    # a fast dark soliton starting 1 from the tracked region's edge leaves
+    # it near t = 1.1; the run must stop there, not after all 160 steps
+    steps = []
+    real_step = pde_engine.rk4_step
+
+    def counting_step(rhs_into, t, u, dt, work):
+        steps.append(t)
+        real_step(rhs_into, t, u, dt, work)
+
+    monkeypatch.setattr(pde_engine, "rk4_step", counting_step)
+    cfg = ExperimentConfig(mode="dark", A0=0.9, x0_0=9.0, t_max=5.0, dt_pde=0.03125,
+                           x_min=-40.0, x_max=40.0, n_points=257, sample_interval=8,
+                           tiers=("pde",))
+    with pytest.raises(RangeError, match="grid edge"):
+        run_experiment(cfg)
+    assert 0 < len(steps) < 160
+    assert len(steps) % cfg.sample_interval == 0
+
+
+def test_run_keeps_the_norm_drift_flag():
+    # 257 points on [-40, 40] at the RK4 bound 0.4 dx^2: the norm drifts by ~1e-3
+    coarse = ExperimentConfig(mode="dark", A0=0.25, t_max=62.5, dt_pde=0.0390625,
+                              x_min=-40.0, x_max=40.0, n_points=257, sample_interval=64,
+                              tiers=("pde",))
+    assert run_experiment(coarse).norm_drift_warning is True
+    default = ExperimentConfig(mode="dark", A0=0.25, t_max=0.5, tiers=("pde",))
+    assert run_experiment(default).norm_drift_warning is False
+    reduced = ExperimentConfig(mode="dark", A0=0.25, t_max=0.5, tiers=("ode-full",))
+    assert run_experiment(reduced).norm_drift_warning is None
+
+
+def test_field_memory_does_not_grow_with_t_max():
+    # 50 samples at t_max = 10 and 200 at t_max = 40; stored snapshots
+    # would add 150 of them to the peak
+    def peak(t_max):
+        cfg = ExperimentConfig(mode="dark", A0=0.0, t_max=t_max, dt_pde=0.025,
+                               n_points=1025, sample_interval=8, tiers=("pde",))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.2)  # warm the import-time and first-call allocations
+    snapshot_bytes = 1025 * np.dtype(np.complex128).itemsize
+    assert peak(40.0) - peak(10.0) < snapshot_bytes

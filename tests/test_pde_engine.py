@@ -215,6 +215,24 @@ def test_field_at_and_drift_flag():
     assert traj.norm_drift_warning is True  # impossible tolerance must trip
 
 
+@pytest.mark.parametrize("stepper", ["rk4", "abm4"])
+def test_streamed_samples_equal_stored_snapshots(stepper):
+    grid = build_grid(-15.0, 15.0, 257)
+    problem = EvolutionProblem("transformed-bright", make_inverse_square(1.0, -20.0, grid),
+                               grid)
+    field0 = bright.ansatz(bright.BrightSolitonParams(eta=0.5, xi=0.25, zeta=1.0), grid)
+    stored = evolve(problem, field0, 0.0, 0.08, 2e-3, 4, stepper=stepper)
+    seen = []
+    streamed = evolve(problem, field0, 0.0, 0.08, 2e-3, 4, stepper=stepper,
+                      on_sample=lambda j, u: seen.append((j, u.copy())))
+    assert [j for j, _ in seen] == list(range(1, 11))
+    assert np.array_equal(np.array([u for _, u in seen]), stored.fields[1:])
+    assert streamed.fields.shape == (0, grid.n_points)
+    assert np.array_equal(streamed.times, stored.times)
+    assert np.array_equal(streamed.conserved, stored.conserved)
+    assert streamed.norm_drift_warning == stored.norm_drift_warning
+
+
 def _reference_rk4_step(rhs, t, y, dt):
     """The allocating RK4 step that the in-place one replaced."""
     k1 = rhs(t, y)
