@@ -130,8 +130,9 @@ def simpson(values: np.ndarray, dx: float) -> float | np.ndarray:
     n = values.shape[-1]
     if n < 3 or n % 2 == 0:
         raise ConfigurationError(f"Simpson rule needs an odd sample count >= 3, got {n}")
-    acc = (values[..., 0] + values[..., -1] + 4.0 * np.sum(values[..., 1:-1:2], axis=-1)
-           + 2.0 * np.sum(values[..., 2:-2:2], axis=-1))
+    # np.add.reduce is what np.sum calls, without its Python-level dispatch
+    acc = (values[..., 0] + values[..., -1] + 4.0 * np.add.reduce(values[..., 1:-1:2], axis=-1)
+           + 2.0 * np.add.reduce(values[..., 2:-2:2], axis=-1))
     if values.ndim == 1:
         return float(acc) * dx / 3.0
     return acc * dx / 3.0

@@ -7,9 +7,10 @@ Variants (all first order in time, written for the time derivative):
   transformed-dark-rotated i du/dt   = -1/2 u_xx  +  (|u|^2 - 1) u  + P[u]
 
 with P[u] = V_eff u - coef du/dx from the inhomogeneity profile.  Space is
-discretized with the fourth-order stencils of grid_field; the two outermost
-points on each side are clamped to their initial values (their time
-derivative is forced to zero), which doubles as the boundary condition.
+discretized with the fourth-order five-point stencils of grid_field's
+interior rows; the two outermost points on each side are clamped to their
+initial values (their time derivative is forced to zero), which doubles as
+the boundary condition.
 
 Each stepper has its own bound dt <= factor * dx^2 for the dispersion
 term, whose grid-scale mode has eigenvalue -(8/3) i / dx^2.  RK4 is
@@ -23,8 +24,13 @@ non-finite after about 10 time units; at 0.093 dx^2 the growth is only
 3e-5 per step.  check_time_step enforces the bound; evolve calls it up
 front, and the harness calls it before any tier runs.
 
-The right-hand side kernel writes into caller-owned arrays and keeps its
-stencil temporaries for the whole evolve call.  The RK4 and ABM4 steps,
+The right-hand side kernel writes into caller-owned arrays.  Its linear
+terms (kinetic, advection and V_eff) live in one table of complex
+five-point stencil coefficients over the interior rows, built once per
+evolve call; a call sums the five products with the shifted field and
+adds the variant's nonlinear term, all complex by complex.  The result
+matches a term-by-term evaluation of the same stencils to roundoff, not
+bitwise, because the sum runs in another order.  The RK4 and ABM4 steps,
 the step count and the non-finite check belong to ode_engine: evolve
 validates its inputs and hands the kernel to ode_engine.march, which
 advances the field in place; once the steps' work arrays exist, a field
@@ -112,62 +118,69 @@ class EvolutionProblem:
                     self._veff = veff
 
 
+# Fourth-order five-point stencils on u[k:k+m], k = 0..4: 12 dx^2 u'' and
+# 12 dx u' at the interior rows u[2:-2]
+_D2_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+_D1_STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
+
+
 def _rhs_kernel(problem: EvolutionProblem):
     """du/dt kernel rhs_into(t, u, out) that writes into out[2:-2].
 
-    The stencil temporaries are allocated here, once, and reused by every
-    call.  The clamped rows of out are never written: the caller zeroes
-    them once when it allocates out.
+    Every linear term is one complex-coefficient five-point stencil,
+    tabulated here once over the interior rows:
+
+        a_k = i (half_c2 s_k + c1 d_k adv - [k == 2] V_eff),  k = 0..4,
+
+    with s and d the second- and first-derivative stencils, and adv or
+    V_eff zero where the problem has none.  A call then writes
+
+        out[2:-2] = sum_k a_k u[k:k+m] + nl u[2:-2],
+
+    where nl is purely imaginary: -s g |u|^2, |u|^2 or 1 - |u|^2 times i,
+    by variant.  All products are complex by complex, so no call casts
+    an array; the table, nl and the density temporaries are allocated
+    here, once, and a call allocates no array data.  The clamped rows
+    of out are never written: the caller zeroes them once when it
+    allocates out.  Summed in this order, the result matches the term by
+    term evaluation to roundoff, not bitwise.
     """
     dx = problem.grid.dx
-    # the 0.5 of the kinetic term is folded in; a power of two scales exactly
+    m = problem.grid.n_points - 4
+    # the 0.5 of the kinetic term is folded in
     half_c2 = 0.5 / (12.0 * dx * dx)
     c1 = 1.0 / (12.0 * dx)
+    coef = np.zeros((5, m), dtype=np.complex128)
+    lin = coef.imag
+    lin[:] = half_c2 * _D2_STENCIL[:, None]
+    if problem._adv is not None:
+        lin += c1 * _D1_STENCIL[:, None] * problem._adv[2:-2]
+    if problem._veff is not None:
+        lin[2] -= problem._veff[2:-2]
     variant = problem.variant
-    s = problem.s
-    g_int = problem._g[2:-2]
-    adv = problem._adv
-    adv_int = adv[2:-2] if adv is not None else None
-    veff = problem._veff
-    veff_int = veff[2:-2] if veff is not None else None
-    m = problem.grid.n_points - 4
-    interior = np.empty(m, dtype=np.complex128)
+    # -s g, exact: s is +-1
+    neg_sg = -problem.s * problem._g[2:-2]
+    nl = np.zeros(m, dtype=np.complex128)
+    nl_im = nl.imag
     tmp = np.empty(m, dtype=np.complex128)
-    du = np.empty(m, dtype=np.complex128) if adv_int is not None else None
     dens = np.empty(m)
     dens_im = np.empty(m)
 
     def rhs_into(t: float, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         ui = u[2:-2]
-        # 0.5 lap = (16 u[1:-3] - u[:-4] - 30 ui + 16 u[3:-1] - u[4:]) * half_c2
-        np.subtract(np.multiply(16.0, u[1:-3], out=tmp), u[:-4], out=interior)
-        np.subtract(interior, np.multiply(30.0, ui, out=tmp), out=interior)
-        np.add(interior, np.multiply(16.0, u[3:-1], out=tmp), out=interior)
-        np.subtract(interior, u[4:], out=interior)
-        np.multiply(interior, half_c2, out=interior)
         np.square(ui.real, out=dens)
-        np.add(dens, np.square(ui.imag, out=dens_im), out=dens)
-        if variant == "original-psi":
-            # 0.5 lap - s (g |u|^2) u
-            np.multiply(g_int, dens, out=dens)
-            np.multiply(s, dens, out=dens)
-            np.subtract(interior, np.multiply(dens, ui, out=tmp), out=interior)
-        elif variant == "transformed-bright":
-            # 0.5 lap + |u|^2 u
-            np.add(interior, np.multiply(dens, ui, out=tmp), out=interior)
-        else:  # transformed-dark-rotated: 0.5 lap - (|u|^2 - 1) u
-            np.subtract(dens, 1.0, out=dens)
-            np.subtract(interior, np.multiply(dens, ui, out=tmp), out=interior)
-        if adv_int is not None:
-            # + adv (u[:-4] - 8 u[1:-3] + 8 u[3:-1] - u[4:]) * c1
-            np.subtract(u[:-4], np.multiply(8.0, u[1:-3], out=tmp), out=du)
-            np.add(du, np.multiply(8.0, u[3:-1], out=tmp), out=du)
-            np.subtract(du, u[4:], out=du)
-            np.multiply(du, c1, out=du)
-            np.add(interior, np.multiply(adv_int, du, out=du), out=interior)
-        if veff_int is not None:
-            np.subtract(interior, np.multiply(veff_int, ui, out=tmp), out=interior)
-        np.multiply(1j, interior, out=out[2:-2])
+        np.square(ui.imag, out=dens_im)
+        if variant == "transformed-bright":
+            np.add(dens, dens_im, out=nl_im)
+        elif variant == "original-psi":
+            np.multiply(neg_sg, np.add(dens, dens_im, out=dens), out=nl_im)
+        else:  # transformed-dark-rotated
+            np.subtract(1.0, np.add(dens, dens_im, out=dens), out=nl_im)
+        acc = out[2:-2]
+        np.multiply(coef[0], u[:m], out=acc)
+        for k in range(1, 5):
+            np.add(acc, np.multiply(coef[k], u[k:k + m], out=tmp), out=acc)
+        np.add(acc, np.multiply(nl, ui, out=tmp), out=acc)
         return out
 
     return rhs_into
