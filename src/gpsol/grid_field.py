@@ -1,9 +1,8 @@
-"""Uniform 1D grids, complex fields on them, derivatives and quadrature.
+"""Uniform 1D grids, complex fields on them, quadrature and windows.
 
-Spatial derivatives use fourth-order stencils: central five-point formulas
-in the interior and one-sided fourth-order formulas at the two points next
-to each boundary.  Integration is composite Simpson, which is why grids
-carry an odd number of points (an even number of intervals).
+Integration is composite Simpson, which is why grids carry an odd number
+of points (an even number of intervals).  The field's derivative stencils
+live in pde_engine's right-hand side kernel, the only place that uses them.
 """
 
 from __future__ import annotations
@@ -82,43 +81,6 @@ class ComplexField:
         if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
             raise ConfigurationError("field samples must be finite")
         self.values = vals
-
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values.copy())
-
-
-# One-sided fourth-order stencil rows (lowest index first).
-_D1_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_D1_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-_D2_EDGE0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-_D2_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
-
-
-def d1_samples(values: np.ndarray, dx: float) -> np.ndarray:
-    """First derivative of sampled values, fourth order everywhere."""
-    n = values.shape[0]
-    out = np.empty_like(values)
-    out[2:-2] = (values[:-4] - 8.0 * values[1:-3]
-                 + 8.0 * values[3:-1] - values[4:]) / (12.0 * dx)
-    out[0] = np.dot(_D1_EDGE0, values[:5]) / dx
-    out[1] = np.dot(_D1_EDGE1, values[:5]) / dx
-    # mirrored: reverse the sample order and negate for an odd derivative
-    out[n - 1] = -np.dot(_D1_EDGE0, values[-1:-6:-1]) / dx
-    out[n - 2] = -np.dot(_D1_EDGE1, values[-1:-6:-1]) / dx
-    return out
-
-
-def d2_samples(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second derivative of sampled values, fourth order everywhere."""
-    n = values.shape[0]
-    out = np.empty_like(values)
-    out[2:-2] = (-values[:-4] + 16.0 * values[1:-3] - 30.0 * values[2:-2]
-                 + 16.0 * values[3:-1] - values[4:]) / (12.0 * dx * dx)
-    out[0] = np.dot(_D2_EDGE0, values[:6]) / (dx * dx)
-    out[1] = np.dot(_D2_EDGE1, values[:6]) / (dx * dx)
-    out[n - 1] = np.dot(_D2_EDGE0, values[-1:-7:-1]) / (dx * dx)
-    out[n - 2] = np.dot(_D2_EDGE1, values[-1:-7:-1]) / (dx * dx)
-    return out
 
 
 def simpson(values: np.ndarray, dx: float) -> float | np.ndarray:

@@ -33,6 +33,7 @@ fails first in time raises.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,10 +41,10 @@ import numpy as np
 
 from . import bright_soliton as bright
 from . import dark_soliton as dark
-from .errors import ConfigurationError, RangeError, SingularityError
+from .errors import ConfigurationError, RangeError
 from .grid_field import ComplexField, SpatialGrid, build_grid, simpson
 from .inhomogeneity import InhomogeneityProfile, make_inverse_square
-from .ode_engine import OdeSystem, abm4_integrate
+from .ode_engine import OdeSystem, abm4_integrate, step_count
 from .pde_engine import STEPPERS, EvolutionProblem, check_time_step, evolve
 
 __all__ = [
@@ -74,12 +75,8 @@ _COMMON_KEYS = ("mode", "C", "D", "t_max", "dt_pde", "dt_ode", "x_min",
 _DARK_KEYS = ("A0", "x0_0")
 _BRIGHT_KEYS = ("eta0", "xi0", "zeta0", "phi0")
 
-
-def _near_integer(ratio: float) -> int:
-    n = int(round(ratio))
-    if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
-        raise ConfigurationError(f"ratio {ratio:g} is not a positive integer")
-    return n
+# time runs at this rate in each frame: bright parameter ODEs use tau = t/2
+_FRAME_RATE = {"lab": 1.0, "tau": 0.5}
 
 
 @dataclass(frozen=True)
@@ -107,12 +104,11 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if not self.t_max > 0.0:
-            raise ConfigurationError("t_max must be positive")
-        if not self.dt_pde > 0.0 or not self.dt_ode > 0.0:
-            raise ConfigurationError("step sizes must be positive")
         if self.stepper not in STEPPERS:
             raise ConfigurationError(f"unknown stepper {self.stepper!r}")
         if not self.tiers:
@@ -141,35 +137,25 @@ class ExperimentConfig:
             if "eom-a" in self.tiers:
                 raise ConfigurationError("tier eom-a exists only in dark mode")
             start = self.zeta0
-        # grid geometry: build_grid validates shape, then the profile must
-        # be regular on it and the soliton must start away from the edges
-        grid = build_grid(self.x_min, self.x_max, self.n_points)
-        if self.C != 0.0:
-            x_sing = -self.D / self.C
-            if self.x_min <= x_sing <= self.x_max:
-                raise SingularityError(
-                    f"interaction profile singular at x = {x_sing:g} inside the grid"
-                )
-        elif self.D == 0.0:
-            raise ConfigurationError("C and D cannot both be zero")
+        # the grid and the profile validate themselves; then the soliton
+        # must start away from the edges
+        make_inverse_square(self.C, self.D,
+                            build_grid(self.x_min, self.x_max, self.n_points))
         if not (self.x_min + EDGE_MARGIN <= start <= self.x_max - EDGE_MARGIN):
             raise ConfigurationError(
                 f"soliton start {start:g} closer than {EDGE_MARGIN:g} to a grid edge"
             )
         if self.sample_interval < 1:
             raise ConfigurationError("sample_interval must be >= 1")
-        n_pde = _near_integer(self.t_max / self.dt_pde)
+        n_pde = step_count(0.0, self.t_max, self.dt_pde)
         if n_pde % self.sample_interval != 0:
             raise ConfigurationError(
                 f"{n_pde} PDE steps do not split into samples of {self.sample_interval}"
             )
         # ODE tiers sample on the same lab-time axis; bright parameter ODEs
         # run in the half-rate frame, so their stride halves
-        dt_lab = self.sample_interval * self.dt_pde
-        stride = dt_lab / self.dt_ode
-        if self.mode == "bright":
-            stride /= 2.0
-        _near_integer(stride)
+        rate = _FRAME_RATE["tau" if self.mode == "bright" else "lab"]
+        step_count(0.0, rate * self.sample_step, self.dt_ode)
 
     @property
     def sample_step(self) -> float:
@@ -178,7 +164,7 @@ class ExperimentConfig:
 
     @property
     def n_samples(self) -> int:
-        return _near_integer(self.t_max / self.dt_pde) // self.sample_interval + 1
+        return step_count(0.0, self.t_max, self.dt_pde) // self.sample_interval + 1
 
 
 def _parse_pairs(source: str) -> dict[str, str]:
@@ -202,12 +188,9 @@ def _parse_pairs(source: str) -> dict[str, str]:
 
 def _to_float(key: str, value: str) -> float:
     try:
-        out = float(value)
+        return float(value)
     except ValueError:
         raise ConfigurationError(f"{key} expects a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ConfigurationError(f"{key} must be finite, got {value!r}")
-    return out
 
 
 def _to_int(key: str, value: str) -> int:
@@ -326,9 +309,6 @@ class _Reduced:
     amplitude: int | None = None
 
 
-# time runs at this rate in each frame: bright parameter ODEs use tau = t/2
-_FRAME_RATE = {"lab": 1.0, "tau": 0.5}
-
 # per mode, in order of preference for the amplitude series
 _REDUCED = {
     "dark": {
@@ -378,7 +358,7 @@ def _reduced_tiers(config: ExperimentConfig, profile: InhomogeneityProfile,
 
         traj = abm4_integrate(OdeSystem(len(y0), rhs), np.array(y0), 0.0,
                               rate * config.t_max, config.dt_ode)
-        stride = _near_integer(rate * config.sample_step / config.dt_ode)
+        stride = step_count(0.0, rate * config.sample_step, config.dt_ode)
         for tier, row, part in parts:
             centers[tier] = traj.states[::stride, part.start + row.center].copy()
             if amplitude is None and row.amplitude is not None:
@@ -456,7 +436,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     deltas: dict[str, np.ndarray] = {}
     if "pde" in centers:
-        for tier in ("ode-full", "eom", "eom-a"):
+        for tier in _DELTA_COLUMN:
             if tier in centers:
                 deltas[tier] = centers[tier] - centers["pde"]
 
@@ -499,14 +479,15 @@ def scenario(name: str) -> list[ExperimentConfig]:
     return configs
 
 
-_COLUMNS = ("x0_pde", "x0_ode_full", "x0_ode_taylor", "x0_eom", "x0_eom_a",
-            "aux_pde", "aux_ode", "conserved",
-            "delta_ode_full", "delta_eom", "delta_eom_a")
-_TIER_COLUMN = {"pde": "x0_pde", "ode-full": "x0_ode_full",
-                "ode-taylor": "x0_ode_taylor", "eom": "x0_eom",
-                "eom-a": "x0_eom_a"}
-_DELTA_COLUMN = {"ode-full": "delta_ode_full", "eom": "delta_eom",
-                 "eom-a": "delta_eom_a"}
+def _column(prefix: str, tier: str) -> str:
+    return prefix + tier.replace("-", "_")
+
+
+_COLUMNS = tuple(CSV_HEADER.split(",")[1:])
+_TIER_COLUMN = {tier: _column("x0_", tier) for tier in TIERS}
+# the header names the tiers whose centers are measured against the pde's
+_DELTA_COLUMN = {tier: _column("delta_", tier) for tier in TIERS
+                 if _column("delta_", tier) in _COLUMNS}
 
 
 def _fmt(value: float) -> str:

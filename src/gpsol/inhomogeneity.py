@@ -33,9 +33,6 @@ __all__ = [
     "make_generic",
 ]
 
-KINDS = ("inverse-square", "homogeneous", "generic")
-
-
 @dataclass(frozen=True)
 class InhomogeneityProfile:
     """A positive interaction profile with the derived perturbation data.

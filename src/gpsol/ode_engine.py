@@ -13,6 +13,7 @@ small systems and record every step; pde_engine.evolve marches the field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,9 +130,11 @@ def abm4_step(rhs_into: RhsInto, t: float, u: np.ndarray, dt: float,
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
     """Number of steps of size dt from t0 to t_end, which must be whole."""
+    span = t_end - t0
+    if not (math.isfinite(span) and math.isfinite(dt)):
+        raise ConfigurationError(f"span {span} and step size {dt} must be finite")
     if not dt > 0.0:
         raise ConfigurationError(f"step size must be positive, got {dt}")
-    span = t_end - t0
     if not span > 0.0:
         raise ConfigurationError(f"integration span must be positive, got {span}")
     n = int(round(span / dt))

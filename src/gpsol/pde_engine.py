@@ -7,10 +7,10 @@ Variants (all first order in time, written for the time derivative):
   transformed-dark-rotated i du/dt   = -1/2 u_xx  +  (|u|^2 - 1) u  + P[u]
 
 with P[u] = V_eff u - coef du/dx from the inhomogeneity profile.  Space is
-discretized with the fourth-order five-point stencils of grid_field's
-interior rows; the two outermost points on each side are clamped to their
-initial values (their time derivative is forced to zero), which doubles as
-the boundary condition.
+discretized with fourth-order central five-point stencils, the program's
+only derivative stencils; the two outermost points on each side are
+clamped to their initial values (their time derivative is forced to
+zero), which doubles as the boundary condition.
 
 Each stepper has its own bound dt <= factor * dx^2 for the dispersion
 term, whose grid-scale mode has eigenvalue -(8/3) i / dx^2.  RK4 is
@@ -62,10 +62,8 @@ __all__ = [
     "STABILITY_FACTORS",
     "EvolutionProblem",
     "PdeTrajectory",
-    "rhs",
     "check_time_step",
     "evolve",
-    "conserved_quantities",
 ]
 
 VARIANTS = ("original-psi", "transformed-bright", "transformed-dark-rotated")
@@ -186,28 +184,12 @@ def _rhs_kernel(problem: EvolutionProblem):
     return rhs_into
 
 
-def rhs(problem: EvolutionProblem, field: ComplexField, t: float = 0.0) -> ComplexField:
-    """Time derivative of the field under the problem's equation.
-
-    The clamped rows (two outermost points per side) report zero.
-    """
-    if field.grid is not problem.grid and field.grid != problem.grid:
-        raise ConfigurationError("field grid differs from problem grid")
-    out = np.zeros(problem.grid.n_points, dtype=np.complex128)
-    return ComplexField(problem.grid, _rhs_kernel(problem)(t, field.values, out))
-
-
-def conserved_quantities(problem: EvolutionProblem, field: ComplexField) -> dict[str, float]:
+def _norm(problem: EvolutionProblem, u: np.ndarray) -> float:
     """The conserved norm of the variant's frame.
 
     original-psi conserves N_psi = integral |Psi|^2; the transformed
     variants conserve N_w = integral |u|^2 / g.
     """
-    name = "N_psi" if problem.variant == "original-psi" else "N_w"
-    return {name: _norm(problem, field.values)}
-
-
-def _norm(problem: EvolutionProblem, u: np.ndarray) -> float:
     dens = u.real ** 2 + u.imag ** 2
     if problem.variant == "original-psi":
         return simpson(dens, problem.grid.dx)

@@ -174,6 +174,8 @@ def test_initial_state_and_cadence_overrides_reach_config(tmp_path, monkeypatch,
     ("dark", "--x0-0", "-140"),       # inside the edge margin
     ("dark", "--x0-0", "left"),
     ("bright", "--zeta0", "nan"),
+    ("dark", "--t-max", "inf"),
+    ("dark", "--C", "nan"),
     ("bright", "--phi0", "abc"),
     ("dark", "--sample-interval", "0"),
     ("dark", "--sample-interval", "2.5"),

@@ -1,4 +1,4 @@
-"""Grids, stencils, quadrature."""
+"""Grids, fields, quadrature, windows."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from gpsol.errors import ConfigurationError, RangeError
 from gpsol.grid_field import (
     ComplexField,
     build_grid,
-    d1_samples,
-    d2_samples,
     simpson,
     window_indices,
 )
@@ -54,45 +52,6 @@ def test_field_validation():
     bad[3] = np.nan
     with pytest.raises(ConfigurationError):
         ComplexField(g, bad)
-    clone = f.copy()
-    clone.values[0] = 7.0
-    assert f.values[0] == 1.0
-
-
-def test_first_derivative_exact_on_quartic():
-    # the five-point stencils (interior and one-sided) close at degree 4
-    g = build_grid(1.0, 2.0, 17)
-    f = g.x ** 4 - 3.0 * g.x ** 2 + 2.0
-    expected = 4.0 * g.x ** 3 - 6.0 * g.x
-    assert np.max(np.abs(d1_samples(f, g.dx) - expected)) < 1e-10
-
-
-def test_second_derivative_exact_on_quintic():
-    g = build_grid(1.0, 2.0, 17)
-    f = g.x ** 5 + g.x ** 3
-    expected = 20.0 * g.x ** 3 + 6.0 * g.x
-    assert np.max(np.abs(d2_samples(f, g.dx) - expected)) < 1e-9
-
-
-def test_derivatives_fourth_order_convergence():
-    errs1, errs2 = [], []
-    for n in (201, 401):
-        g = build_grid(-1.0, 1.0, n)
-        f = np.sin(3.0 * g.x)
-        errs1.append(np.max(np.abs(d1_samples(f, g.dx) - 3.0 * np.cos(3.0 * g.x))))
-        errs2.append(np.max(np.abs(d2_samples(f, g.dx) + 9.0 * np.sin(3.0 * g.x))))
-    assert errs1[0] / errs1[1] > 12.0
-    assert errs2[0] / errs2[1] > 12.0
-
-
-def test_derivatives_handle_complex_fields():
-    g = build_grid(-2.0, 2.0, 401)
-    f = np.exp(1j * g.x)
-    d1 = d1_samples(f, g.dx)
-    d2 = d2_samples(f, g.dx)
-    assert d1.dtype == d2.dtype == np.complex128
-    assert np.max(np.abs(d1 - 1j * f)) < 5e-9
-    assert np.max(np.abs(d2 + f)) < 1e-8
 
 
 def test_simpson_exact_on_cubic():

@@ -1,5 +1,6 @@
 """Experiment configs, tier assembly, CSV serialization."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,18 @@ def test_parse_pairs_errors(text, message):
 def test_config_rejections(pairs):
     with pytest.raises(ConfigurationError):
         config_from_mapping(pairs)
+
+
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if "float" in str(f.type)]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_config_rejects_non_finite_floats(name, value):
+    # rejected on construction, whatever the mode, not as a traceback or
+    # a misleading error in the middle of a run
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        ExperimentConfig(**{"mode": "dark", "A0": 0.0, "t_max": 1.0, name: value})
 
 
 def test_singularity_inside_domain_is_special():

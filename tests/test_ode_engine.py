@@ -14,6 +14,7 @@ from gpsol.ode_engine import (
     abm4_integrate,
     rk4_integrate,
     rk4_step,
+    step_count,
 )
 
 DECAY = OdeSystem(1, lambda t, y: -y)
@@ -113,3 +114,16 @@ def test_integrators_do_not_mutate_y0():
     rk4_integrate(DECAY, y0, 0.0, 1.0, 0.1)
     abm4_integrate(DECAY, y0, 0.0, 1.0, 0.1)
     assert y0[0] == 1.0
+
+
+@pytest.mark.parametrize("t0, t_end, dt", [
+    (0.0, float("inf"), 1e-3),
+    (float("-inf"), 0.0, 1e-3),
+    (float("inf"), float("inf"), 1e-3),
+    (0.0, float("nan"), 1e-3),
+    (0.0, 1.0, float("inf")),
+    (0.0, 1.0, float("nan")),
+])
+def test_step_count_rejects_non_finite_input(t0, t_end, dt):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        step_count(t0, t_end, dt)
