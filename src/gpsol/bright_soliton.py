@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError, ParameterError, RangeError
-from .grid_field import ComplexField, SpatialGrid, simpson, window_indices
-from .inhomogeneity import InhomogeneityProfile
+from .grid_field import ComplexField, SpatialGrid, simpson
+from .inhomogeneity import InhomogeneityProfile, window_coefficients
 
 __all__ = [
     "WINDOW_HALFWIDTH_FACTOR",
@@ -59,18 +59,6 @@ def ansatz(params: BrightSolitonParams, grid: SpatialGrid) -> ComplexField:
     return ComplexField(grid, vals)
 
 
-def _window(params: BrightSolitonParams, profile: InhomogeneityProfile, grid: SpatialGrid):
-    half = WINDOW_HALFWIDTH_FACTOR / (2.0 * params.eta)
-    lo = params.zeta - half
-    hi = params.zeta + half
-    if not profile.contains(lo, hi):
-        raise RangeError(
-            f"soliton window [{lo:.3f}, {hi:.3f}] outside profile validity"
-        )
-    i0, i1 = window_indices(grid, params.zeta, half)
-    return grid.x[i0:i1]
-
-
 def rhs_full(params: BrightSolitonParams, profile: InhomogeneityProfile,
              grid: SpatialGrid) -> tuple[float, float, float, float]:
     """(d eta, d xi, d zeta, d phi)/d tau from the adiabatic integral equations.
@@ -79,19 +67,18 @@ def rhs_full(params: BrightSolitonParams, profile: InhomogeneityProfile,
     the adiabatic expansion it was derived in; it feeds nothing downstream.
     """
     eta, xi, zeta = params.eta, params.xi, params.zeta
-    x = _window(params, profile, grid)
+    x, adv, pot = window_coefficients(profile, grid, zeta,
+                                      WINDOW_HALFWIDTH_FACTOR / (2.0 * eta))
     dx = grid.dx
     z = 2.0 * eta * (x - zeta)
     sech2 = 1.0 / np.cosh(z) ** 2
     tanh = np.tanh(z)
-    adv = profile.advection_coef(x)
     adv_sech2 = adv * sech2
     phase = 1.0 - 2.0 * eta * x * tanh
     rows = [adv_sech2, adv * tanh * tanh * sech2, adv * (x - zeta) * sech2,
             adv_sech2 * tanh * phase]
     generic = profile.kind == "generic"
     if generic:
-        pot = profile.potential_coef(x)
         rows += [pot * tanh * sech2, pot * sech2 * phase]
     integrals = simpson(np.array(rows), dx)
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError, ParameterError, RangeError
-from .grid_field import ComplexField, SpatialGrid, simpson, window_indices
-from .inhomogeneity import InhomogeneityProfile
+from .grid_field import ComplexField, SpatialGrid, simpson
+from .inhomogeneity import InhomogeneityProfile, window_coefficients
 
 __all__ = [
     "WINDOW_HALFWIDTH_FACTOR",
@@ -68,18 +68,6 @@ def ansatz(params: DarkSolitonParams, grid: SpatialGrid) -> ComplexField:
     return ComplexField(grid, vals)
 
 
-def _window(params: DarkSolitonParams, profile: InhomogeneityProfile, grid: SpatialGrid):
-    half = WINDOW_HALFWIDTH_FACTOR / params.B
-    lo = params.x0 - half
-    hi = params.x0 + half
-    if not profile.contains(lo, hi):
-        raise RangeError(
-            f"soliton window [{lo:.3f}, {hi:.3f}] outside profile validity"
-        )
-    i0, i1 = window_indices(grid, params.x0, half)
-    return grid.x[i0:i1]
-
-
 def rhs_full(params: DarkSolitonParams, profile: InhomogeneityProfile,
              grid: SpatialGrid) -> tuple[float, float]:
     """(dA/dt, dx0/dt) from the adiabatic integral equations.
@@ -90,16 +78,16 @@ def rhs_full(params: DarkSolitonParams, profile: InhomogeneityProfile,
     """
     A = params.A
     B = params.B
-    x = _window(params, profile, grid)
+    x, adv, pot = window_coefficients(profile, grid, params.x0,
+                                      WINDOW_HALFWIDTH_FACTOR / B)
     dx = grid.dx
     th = B * (x - params.x0)
     sech2 = 1.0 / np.cosh(th) ** 2
     tanh = np.tanh(th)
-    adv_sech2 = profile.advection_coef(x) * sech2
+    adv_sech2 = adv * sech2
     rows = [adv_sech2 * sech2, adv_sech2 * (tanh + th * sech2)]
     generic = profile.kind == "generic"
     if generic:
-        pot = profile.potential_coef(x)
         rows += [pot * tanh * sech2,
                  pot * (tanh * tanh / B - 1.0 + (x - params.x0) * tanh * sech2)]
     integrals = simpson(np.array(rows), dx)

@@ -1,14 +1,17 @@
 """Uniform 1D grids, complex fields on them, quadrature and windows.
 
 Integration is composite Simpson, which is why grids carry an odd number
-of points (an even number of intervals).  The field's derivative stencils
-live in pde_engine's right-hand side kernel, the only place that uses them.
+of points (an even number of intervals).  simpson is one einsum against
+cached weights [1, 4, 2, ..., 4, 1]: einsum sums a row as it sums a 1-D
+input, which a BLAS product (@, np.dot) does not, and its sum does not
+depend on the thread count.  The field's derivative stencils live in
+pde_engine's kernel, the only place that uses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -83,6 +86,14 @@ class ComplexField:
         self.values = vals
 
 
+@lru_cache(maxsize=32)
+def _simpson_weights(n: int) -> np.ndarray:
+    w = np.where(np.arange(n) % 2, 4.0, 2.0)
+    w[[0, -1]] = 1.0
+    w.flags.writeable = False
+    return w
+
+
 def simpson(values: np.ndarray, dx: float) -> float | np.ndarray:
     """Composite Simpson rule over an odd number of samples on the last axis.
 
@@ -92,12 +103,7 @@ def simpson(values: np.ndarray, dx: float) -> float | np.ndarray:
     n = values.shape[-1]
     if n < 3 or n % 2 == 0:
         raise ConfigurationError(f"Simpson rule needs an odd sample count >= 3, got {n}")
-    # np.add.reduce is what np.sum calls, without its Python-level dispatch
-    acc = (values[..., 0] + values[..., -1] + 4.0 * np.add.reduce(values[..., 1:-1:2], axis=-1)
-           + 2.0 * np.add.reduce(values[..., 2:-2:2], axis=-1))
-    if values.ndim == 1:
-        return float(acc) * dx / 3.0
-    return acc * dx / 3.0
+    return np.einsum("...i,i->...", values, _simpson_weights(n)) * dx / 3.0
 
 
 def window_indices(grid: SpatialGrid, center: float, half_width: float) -> tuple[int, int]:

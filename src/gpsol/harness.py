@@ -18,15 +18,15 @@ on_sample consumer) and keeps no snapshot, so a run's field memory is
 bounded by the grid size, not by t_max.
 
 The reduced tiers (all but pde) are rows of one table, _REDUCED: per mode
-and tier, a time frame (lab time, or tau = t/2 for the bright parameter
-ODEs), the initial state, a right-hand side returning a tuple, and the
-state columns of the center and the amplitude.  All requested tiers of
-one frame march together as one stacked system in a single ABM4 call, so
-the per-step cost of the integrator is paid once per frame: dark runs
-march ode-full, ode-taylor, eom and eom-a together in lab time; bright
-runs march ode-full and ode-taylor in tau and eom alone in lab time.  The
+and tier, the initial state, a right-hand side returning a tuple, and the
+state columns of the center and the amplitude.  Each mode has one time
+frame: lab time for dark, tau = t/2 for bright, where the parameter ODEs
+live and the Newtonian eom is written as d/dtau = 2 d/dt.  All requested
+tiers of a run march together as one stacked system in a single ABM4 call,
+so the per-step cost of the integrator is paid once per run.  The
 integrator acts elementwise, so each tier's trajectory is bitwise the one
-it has alone.  When two tiers of one frame would both fail, the one that
+it has alone, and scaling by 2 is exact, so the bright eom is bitwise a
+lab-time march at 2 dt_ode.  When two tiers would both fail, the one that
 fails first in time raises.
 """
 
@@ -75,8 +75,8 @@ _COMMON_KEYS = ("mode", "C", "D", "t_max", "dt_pde", "dt_ode", "x_min",
 _DARK_KEYS = ("A0", "x0_0")
 _BRIGHT_KEYS = ("eta0", "xi0", "zeta0", "phi0")
 
-# time runs at this rate in each frame: bright parameter ODEs use tau = t/2
-_FRAME_RATE = {"lab": 1.0, "tau": 0.5}
+# time runs at this rate in each mode's frame: bright uses tau = t/2
+_FRAME_RATE = {"dark": 1.0, "bright": 0.5}
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"{n_pde} PDE steps do not split into samples of {self.sample_interval}"
             )
-        # ODE tiers sample on the same lab-time axis; bright parameter ODEs
-        # run in the half-rate frame, so their stride halves
-        rate = _FRAME_RATE["tau" if self.mode == "bright" else "lab"]
-        step_count(0.0, rate * self.sample_step, self.dt_ode)
+        # ODE tiers sample on the same lab-time axis; bright tiers run in
+        # the half-rate frame, so their stride halves
+        step_count(0.0, _FRAME_RATE[self.mode] * self.sample_step, self.dt_ode)
 
     @property
     def sample_step(self) -> float:
@@ -290,19 +289,20 @@ def _bright_taylor(y, config, profile, grid):
 
 
 def _bright_eom(y, config, profile, grid):
-    # the center equation lives in lab time with velocity -2 xi
-    return y[1], bright.eom_rhs(y[0], config.eta0, config.zeta0, config.C, config.D)
+    # the lab-time center equation (velocity -2 xi) written in tau = t/2
+    return 2.0 * y[1], 2.0 * bright.eom_rhs(y[0], config.eta0, config.zeta0,
+                                            config.C, config.D)
 
 
 @dataclass(frozen=True)
 class _Reduced:
-    """One reduced tier: time frame, initial state, right-hand side, columns.
+    """One reduced tier: initial state, right-hand side, columns.
 
-    rhs(y, config, profile, grid) returns the tier's derivative as a tuple;
-    center and amplitude are columns of the tier's own state.
+    rhs(y, config, profile, grid) returns the tier's derivative in the
+    mode's frame as a tuple; center and amplitude are columns of the tier's
+    own state.
     """
 
-    frame: str
     y0: Callable[[ExperimentConfig], tuple[float, ...]]
     rhs: Callable[..., tuple]
     center: int
@@ -312,17 +312,15 @@ class _Reduced:
 # per mode, in order of preference for the amplitude series
 _REDUCED = {
     "dark": {
-        "ode-full": _Reduced("lab", lambda c: (c.A0, c.x0_0), _dark_full, 1, 0),
-        "ode-taylor": _Reduced("lab", lambda c: (c.A0, c.x0_0), _dark_taylor, 1, 0),
-        "eom": _Reduced("lab", lambda c: (c.x0_0, c.A0), _dark_eom, 0),
-        "eom-a": _Reduced("lab", lambda c: (c.x0_0, c.A0), _dark_eom_a, 0),
+        "ode-full": _Reduced(lambda c: (c.A0, c.x0_0), _dark_full, 1, 0),
+        "ode-taylor": _Reduced(lambda c: (c.A0, c.x0_0), _dark_taylor, 1, 0),
+        "eom": _Reduced(lambda c: (c.x0_0, c.A0), _dark_eom, 0),
+        "eom-a": _Reduced(lambda c: (c.x0_0, c.A0), _dark_eom_a, 0),
     },
     "bright": {
-        "ode-full": _Reduced("tau", lambda c: (c.eta0, c.xi0, c.zeta0, c.phi0),
-                             _bright_full, 2, 0),
-        "ode-taylor": _Reduced("tau", lambda c: (c.eta0, c.xi0, c.zeta0),
-                               _bright_taylor, 2, 0),
-        "eom": _Reduced("lab", lambda c: (c.zeta0, -2.0 * c.xi0), _bright_eom, 0),
+        "ode-full": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0, c.phi0), _bright_full, 2, 0),
+        "ode-taylor": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0), _bright_taylor, 2, 0),
+        "eom": _Reduced(lambda c: (c.zeta0, -2.0 * c.xi0), _bright_eom, 0),
     },
 }
 
@@ -331,38 +329,37 @@ def _reduced_tiers(config: ExperimentConfig, profile: InhomogeneityProfile,
                    grid: SpatialGrid):
     """Centers and amplitude of the requested reduced tiers.
 
-    The tiers of one time frame march together as one stacked system, each
-    tier owning a slice of the state; the integrator acts elementwise, so
-    every tier's trajectory is the one it would have alone.
+    The tiers march together as one stacked system in the mode's frame,
+    each tier owning a slice of the state; the integrator acts
+    elementwise, so every tier's trajectory is the one it would have alone.
     """
     table = _REDUCED[config.mode]
+    tiers = [tier for tier in table if tier in config.tiers]
+    if not tiers:
+        return {}, None
+    y0: list[float] = []
+    parts = []  # (tier, row, the tier's slice of the stacked state)
+    for tier in tiers:
+        start = len(y0)
+        y0.extend(table[tier].y0(config))
+        parts.append((tier, table[tier], slice(start, len(y0))))
+
+    def rhs(t, y):
+        out: list[float] = []
+        for _, row, part in parts:
+            out.extend(row.rhs(y[part], config, profile, grid))
+        return np.array(out)
+
+    rate = _FRAME_RATE[config.mode]
+    traj = abm4_integrate(OdeSystem(len(y0), rhs), np.array(y0), 0.0,
+                          rate * config.t_max, config.dt_ode)
+    stride = step_count(0.0, rate * config.sample_step, config.dt_ode)
     centers: dict[str, np.ndarray] = {}
     amplitude = None
-    for frame, rate in _FRAME_RATE.items():
-        tiers = [tier for tier, row in table.items()
-                 if row.frame == frame and tier in config.tiers]
-        if not tiers:
-            continue
-        y0: list[float] = []
-        parts = []  # (tier, row, the tier's slice of the stacked state)
-        for tier in tiers:
-            start = len(y0)
-            y0.extend(table[tier].y0(config))
-            parts.append((tier, table[tier], slice(start, len(y0))))
-
-        def rhs(t, y, parts=parts):
-            out: list[float] = []
-            for _, row, part in parts:
-                out.extend(row.rhs(y[part], config, profile, grid))
-            return np.array(out)
-
-        traj = abm4_integrate(OdeSystem(len(y0), rhs), np.array(y0), 0.0,
-                              rate * config.t_max, config.dt_ode)
-        stride = step_count(0.0, rate * config.sample_step, config.dt_ode)
-        for tier, row, part in parts:
-            centers[tier] = traj.states[::stride, part.start + row.center].copy()
-            if amplitude is None and row.amplitude is not None:
-                amplitude = traj.states[::stride, part.start + row.amplitude].copy()
+    for tier, row, part in parts:
+        centers[tier] = traj.states[::stride, part.start + row.center].copy()
+        if amplitude is None and row.amplitude is not None:
+            amplitude = traj.states[::stride, part.start + row.amplitude].copy()
     return centers, amplitude
 
 
@@ -377,8 +374,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     crossing that precedes a blow-up raises RangeError, not
     InstabilityError; the record keeps the field's norm drift flag.
     Parameter-ODE and EOM tiers integrate with the predictor-corrector at
-    dt_ode, one stacked system per time frame; bright parameter ODEs run in
-    their half-rate frame and are resampled onto the lab axis.  A dt_pde
+    dt_ode, one stacked system in the mode's frame; bright tiers run in the
+    half-rate frame tau = t/2 and are resampled onto the lab axis.  A dt_pde
     beyond the stepper's stability bound is rejected before any tier runs.
     """
     grid = build_grid(config.x_min, config.x_max, config.n_points)

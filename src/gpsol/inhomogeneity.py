@@ -19,18 +19,20 @@ w = D + C x (no absolute values), so both signs of w behave identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularityError
-from .grid_field import SpatialGrid
+from .errors import ConfigurationError, RangeError, SingularityError
+from .grid_field import SpatialGrid, window_indices
 
 __all__ = [
     "InhomogeneityProfile",
     "make_inverse_square",
     "make_homogeneous",
     "make_generic",
+    "window_coefficients",
 ]
 
 @dataclass(frozen=True)
@@ -153,8 +155,9 @@ def make_generic(
 ) -> InhomogeneityProfile:
     """Profile from caller-supplied analytic callables.
 
-    All four callables are required; positivity of g is spot-checked on a
-    coarse sample of the validity interval.
+    All four callables are required and must be pointwise, since the
+    quadratures read windows of a whole-grid evaluation; positivity of g is
+    spot-checked on a coarse sample of the validity interval.
     """
     for name, fn in (("fn_g", fn_g), ("fn_inv_sqrt_g", fn_inv_sqrt_g),
                      ("fn_d1_inv_sqrt_g", fn_d1_inv_sqrt_g),
@@ -174,3 +177,34 @@ def make_generic(
         fn_g=fn_g, fn_inv_sqrt_g=fn_inv_sqrt_g,
         fn_d1_inv_sqrt_g=fn_d1_inv_sqrt_g, fn_d2_inv_sqrt_g=fn_d2_inv_sqrt_g,
     )
+
+
+@lru_cache(maxsize=8)
+def _coefficient_tables(profile: InhomogeneityProfile,
+                        grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only advection_coef and potential_coef at every grid point.
+
+    Points beyond the profile's validity, which no window reaches, take its
+    edge value.
+    """
+    x = np.clip(grid.x, profile.x_lo, profile.x_hi)
+    adv, pot = profile.advection_coef(x), profile.potential_coef(x)
+    adv.flags.writeable = pot.flags.writeable = False
+    return adv, pot
+
+
+def window_coefficients(profile: InhomogeneityProfile, grid: SpatialGrid,
+                        center: float, half_width: float):
+    """x, advection_coef and potential_coef on the grid window around center.
+
+    The coefficients are read-only slices of tables evaluated once per
+    (profile, grid) object pair; being pointwise, they are bitwise their
+    evaluation on the window.  Raises RangeError when [center - hw,
+    center + hw] leaves the grid or the profile's validity.
+    """
+    lo, hi = center - half_width, center + half_width
+    if not profile.contains(lo, hi):
+        raise RangeError(f"soliton window [{lo:.3f}, {hi:.3f}] outside profile validity")
+    window = slice(*window_indices(grid, center, half_width))
+    adv, pot = _coefficient_tables(profile, grid)
+    return grid.x[window], adv[window], pot[window]

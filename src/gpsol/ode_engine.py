@@ -137,7 +137,10 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
         raise ConfigurationError(f"step size must be positive, got {dt}")
     if not span > 0.0:
         raise ConfigurationError(f"integration span must be positive, got {span}")
-    n = int(round(span / dt))
+    ratio = span / dt
+    if not math.isfinite(ratio):
+        raise ConfigurationError(f"span {span} over step size {dt} overflows")
+    n = int(round(ratio))
     if n < 1 or abs(n * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ConfigurationError(
             f"span {span} is not an integer multiple of dt {dt}"

@@ -184,16 +184,18 @@ def _rhs_kernel(problem: EvolutionProblem):
     return rhs_into
 
 
-def _norm(problem: EvolutionProblem, u: np.ndarray) -> float:
+def _norm(problem: EvolutionProblem, u: np.ndarray, buf: np.ndarray | None = None) -> float:
     """The conserved norm of the variant's frame.
 
     original-psi conserves N_psi = integral |Psi|^2; the transformed
-    variants conserve N_w = integral |u|^2 / g.
+    variants conserve N_w = integral |u|^2 / g.  The densities go to buf,
+    two grid-length rows evolve keeps for a run, or to new rows without it.
     """
-    dens = u.real ** 2 + u.imag ** 2
-    if problem.variant == "original-psi":
-        return simpson(dens, problem.grid.dx)
-    return simpson(dens * problem._inv_g, problem.grid.dx)
+    dens, work = np.empty((2, u.shape[0])) if buf is None else buf
+    np.add(np.square(u.real, out=dens), np.square(u.imag, out=work), out=dens)
+    if problem.variant != "original-psi":
+        np.multiply(dens, problem._inv_g, out=dens)
+    return simpson(dens, problem.grid.dx)
 
 
 @dataclass
@@ -268,7 +270,8 @@ def evolve(
     times = t0 + (dt * sample_every) * np.arange(n_samples)
     conserved = np.empty(n_samples)
     u = field0.values.copy()
-    conserved[0] = _norm(problem, u)
+    norm_buf = np.empty((2, problem.grid.n_points))
+    conserved[0] = _norm(problem, u, norm_buf)
     if on_sample is None:
         fields = np.empty((n_samples, problem.grid.n_points), dtype=np.complex128)
         fields[0] = u
@@ -279,7 +282,7 @@ def evolve(
         fields = np.empty((0, problem.grid.n_points), dtype=np.complex128)
 
     def record(j: int, u: np.ndarray) -> None:
-        conserved[j] = _norm(problem, u)
+        conserved[j] = _norm(problem, u, norm_buf)
         on_sample(j, u)
 
     # looked up in this module at each call, so that a wrapper installed

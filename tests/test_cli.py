@@ -180,6 +180,7 @@ def test_initial_state_and_cadence_overrides_reach_config(tmp_path, monkeypatch,
     ("dark", "--sample-interval", "0"),
     ("dark", "--sample-interval", "2.5"),
     ("dark", "--phi0", "0.1"),        # a bright key on a dark config
+    ("dark", "--dt-pde", "1e-320"),   # t_max / dt_pde overflows
 ])
 def test_bad_override_values_exit_2(tmp_path, capsys, mode, flag, value):
     cfg = _write_config(tmp_path, MODE_CONFIG[mode])

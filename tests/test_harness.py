@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gpsol import bright_soliton as bright
 from gpsol import harness, pde_engine
 from gpsol.errors import ConfigurationError, RangeError, SingularityError
 from gpsol.harness import (
@@ -19,6 +20,7 @@ from gpsol.harness import (
     scenario,
     write_csv,
 )
+from gpsol.ode_engine import OdeSystem, abm4_integrate, step_count
 
 GOLDEN_CONFIG = """
 # dark soliton comparison run
@@ -273,6 +275,52 @@ def test_stacked_tiers_equal_tiers_alone(mode, tiers):
             assert np.array_equal(without_full.aux_ode, alone.aux_ode)
         else:
             assert alone.aux_ode is None
+
+
+def test_bright_eom_is_a_lab_march_at_twice_dt_ode():
+    # the bright eom runs in tau = t/2 as (2 v, 2 a); scaling by 2 is
+    # exact, so it is bitwise the lab-time march at 2 dt_ode
+    cfg = ExperimentConfig(mode="bright", eta0=0.5, xi0=0.25, zeta0=2.0, t_max=2.0,
+                           tiers=("eom",))
+    rec = run_experiment(cfg)
+
+    def lab_rhs(t, y):
+        return np.array([y[1], bright.eom_rhs(y[0], cfg.eta0, cfg.zeta0, cfg.C, cfg.D)])
+
+    lab = abm4_integrate(OdeSystem(2, lab_rhs), np.array([cfg.zeta0, -2.0 * cfg.xi0]),
+                         0.0, cfg.t_max, 2.0 * cfg.dt_ode)
+    stride = step_count(0.0, cfg.sample_step, 2.0 * cfg.dt_ode)
+    assert lab.times[::stride] == pytest.approx(rec.times, rel=1e-12, abs=1e-15)
+    assert np.array_equal(rec.centers["eom"], lab.states[::stride, 0])
+    assert rec.centers["eom"][-1] != rec.centers["eom"][0]
+
+
+@pytest.mark.parametrize("mode", ["dark", "bright"])
+def test_one_ode_march_per_run(mode, monkeypatch):
+    calls = []
+    real_abm4 = harness.abm4_integrate
+
+    def counting(*args):
+        calls.append(args)
+        return real_abm4(*args)
+
+    monkeypatch.setattr(harness, "abm4_integrate", counting)
+    if mode == "dark":
+        cfg = ExperimentConfig(mode="dark", A0=0.5, t_max=1.0,
+                               tiers=("ode-full", "ode-taylor", "eom", "eom-a"))
+    else:
+        cfg = ExperimentConfig(mode="bright", eta0=0.5, xi0=0.25, t_max=1.0,
+                               tiers=("ode-full", "ode-taylor", "eom"))
+    rec = run_experiment(cfg)
+    assert len(calls) == 1
+    assert set(rec.centers) == set(cfg.tiers)
+
+
+@pytest.mark.parametrize("kwargs", [dict(t_max=1.0, dt_pde=1e-320),
+                                    dict(t_max=1e300, dt_pde=1e-10)])
+def test_overflowing_step_count_is_a_configuration_error(kwargs):
+    with pytest.raises(ConfigurationError, match="overflows"):
+        ExperimentConfig(mode="dark", A0=0.0, **kwargs)
 
 
 def test_edge_crossing_raises_before_the_march_ends(monkeypatch):

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from gpsol import bright_soliton as bright
+from gpsol import dark_soliton as dark
+from gpsol import inhomogeneity
 from gpsol.errors import ConfigurationError, SingularityError
-from gpsol.grid_field import build_grid
+from gpsol.grid_field import build_grid, window_indices
 from gpsol.inhomogeneity import (
+    InhomogeneityProfile,
     make_generic,
     make_homogeneous,
     make_inverse_square,
+    window_coefficients,
 )
 
 
@@ -90,3 +95,68 @@ def test_generic_profile_validation():
     negative = lambda x: -ones(x)
     with pytest.raises(ConfigurationError):
         make_generic(negative, ones, ones, ones, -1.0, 1.0)
+
+
+def _cosine_profile(x_lo, x_hi):
+    # 1/sqrt(g) = 1 + 0.1 cos(2 pi x / 60): both coefficients are nonzero
+    k = 2.0 * np.pi / 60.0
+    h = lambda x: 1.0 + 0.1 * np.cos(k * np.asarray(x))
+    return make_generic(
+        fn_g=lambda x: 1.0 / h(x) ** 2,
+        fn_inv_sqrt_g=h,
+        fn_d1_inv_sqrt_g=lambda x: -0.1 * k * np.sin(k * np.asarray(x)),
+        fn_d2_inv_sqrt_g=lambda x: -0.1 * k * k * np.cos(k * np.asarray(x)),
+        x_lo=x_lo, x_hi=x_hi,
+    )
+
+
+def _on_window(profile, grid, center, half_width):
+    # what the tables replace: the coefficients evaluated on the window alone
+    x = grid.x[slice(*window_indices(grid, center, half_width))]
+    return x, profile.advection_coef(x), profile.potential_coef(x)
+
+
+def test_tabulated_rhs_full_equals_window_evaluation(monkeypatch):
+    wide = build_grid(-60.0, 60.0, 1201)
+    narrow = build_grid(-30.0, 30.0, 1001)
+    one = make_inverse_square(1.0, -200.0, wide)
+    generic = _cosine_profile(-60.0, 60.0)
+    cases = [(one, wide), (make_inverse_square(2.0, -200.0, wide), wide),  # one grid
+             (one, narrow), (generic, wide), (generic, narrow)]  # two grids
+    calls = [(dark, dark.DarkSolitonParams(A=0.3, x0=2.0)),
+             (bright, bright.BrightSolitonParams(eta=0.5, xi=0.25, zeta=-3.0))]
+    # interleaved and twice over, so that every table is read after the others
+    tabulated = [module.rhs_full(params, profile, grid)
+                 for _ in range(2) for profile, grid in cases for module, params in calls]
+    for module, _ in calls:
+        monkeypatch.setattr(module, "window_coefficients", _on_window)
+    expected = [module.rhs_full(params, profile, grid)
+                for _ in range(2) for profile, grid in cases for module, params in calls]
+    assert tabulated == expected
+
+
+def test_each_profile_object_is_tabulated_once(monkeypatch):
+    tabulated = []
+    real = InhomogeneityProfile.advection_coef
+
+    def counting(self, x):
+        tabulated.append(id(self))
+        return real(self, x)
+
+    monkeypatch.setattr(InhomogeneityProfile, "advection_coef", counting)
+    grid = build_grid(-60.0, 60.0, 1201)
+    # built alike, but each is its own profile with its own table
+    first, second = (make_inverse_square(1.0, -200.0, grid) for _ in range(2))
+    for profile in (first, second, first, second):
+        window_coefficients(profile, grid, 0.0, 10.0)
+    assert tabulated == [id(first), id(second)]
+
+
+def test_coefficient_tables_are_read_only():
+    grid = build_grid(-60.0, 60.0, 1201)
+    profile = _cosine_profile(-60.0, 60.0)
+    _, adv, pot = window_coefficients(profile, grid, 0.0, 10.0)
+    for table in (adv, pot, *inhomogeneity._coefficient_tables(profile, grid)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0

@@ -127,3 +127,9 @@ def test_integrators_do_not_mutate_y0():
 def test_step_count_rejects_non_finite_input(t0, t_end, dt):
     with pytest.raises(ConfigurationError, match="must be finite"):
         step_count(t0, t_end, dt)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1.0, 1e-320), (1e300, 1e-10)])
+def test_step_count_rejects_an_overflowing_ratio(t_end, dt):
+    with pytest.raises(ConfigurationError, match="overflows"):
+        step_count(0.0, t_end, dt)

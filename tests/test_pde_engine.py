@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gpsol.errors import ConfigurationError, InstabilityError
 from gpsol import pde_engine
-from gpsol.grid_field import ComplexField, build_grid
+from gpsol.grid_field import ComplexField, build_grid, simpson
 from gpsol.inhomogeneity import make_generic, make_homogeneous, make_inverse_square
 from gpsol import harness
 from gpsol.harness import ExperimentConfig, run_experiment
@@ -401,6 +401,34 @@ def test_field_steps_allocate_nothing(step):
     finally:
         tracemalloc.stop()
     assert peak < 1024
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sampled_norm_allocates_no_array(variant):
+    # evolve hands _norm its two density rows once per run; what a call
+    # still allocates is simpson's einsum iterator (about 1.3 KB) and two
+    # views, the same at every grid size, where one density row at 1025
+    # points is 8 KB
+    peaks = []
+    for n_points in (1025, 4097):
+        grid = build_grid(-150.0, 150.0, n_points)
+        problem = EvolutionProblem(variant, make_inverse_square(1.0, -200.0, grid), grid,
+                                   s=-1 if variant == "original-psi" else None)
+        u = bright.ansatz(bright.BrightSolitonParams(eta=0.5, xi=0.25, zeta=1.0), grid).values
+        buf = np.empty((2, n_points))
+        norm = pde_engine._norm(problem, u, buf)
+        tracemalloc.start()
+        try:
+            pde_engine._norm(problem, u, buf)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        dens = u.real ** 2 + u.imag ** 2
+        if variant != "original-psi":
+            dens = dens / problem.profile.g(grid.x)
+        assert norm == pde_engine._norm(problem, u)
+        assert norm == pytest.approx(simpson(dens, grid.dx), rel=1e-14)
+    assert max(peaks) < 2048
 
 
 _POLY_COEFS = st.lists(

@@ -1,9 +1,13 @@
-"""Dead names in the package source: unread imports, unread module globals.
+"""Dead names and unbounded caches in the package source.
 
 A name counts as read when some module of the package loads it, as a bare
 name or as an attribute, or exports it through __all__.  The scan works by
 name, not by module, so it can miss a dead name that shares its spelling
 with a live one; it never flags a live one.
+
+A cache without a size bound (functools.cache, lru_cache(maxsize=None))
+keeps every key it has seen, so a long run's memory would grow with its
+inputs; every cache in the package must name its maxsize bound.
 """
 
 import ast
@@ -80,3 +84,39 @@ def test_scan_flags_both_kinds_of_dead_name():
                               "def g():\n    return f()\n"),
                "b": ast.parse("import sys\nKINDS = (1, 2)\ndef f():\n    return 1\n")}
     assert dead_names(modules) == ["a.os", "b.KINDS", "b.sys"]
+
+
+def _is_unbounded_cache(node):
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name == "cache" for alias in node.names)
+    if isinstance(node, ast.Attribute) and node.attr == "cache":
+        return isinstance(node.value, ast.Name) and node.value.id == "functools"
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "lru_cache":
+            size = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            return any(isinstance(v, ast.Constant) and v.value is None for v in size)
+    return False
+
+
+def unbounded_caches(modules):
+    """'module:line' of every functools.cache and every lru_cache(maxsize=None)."""
+    return sorted(f"{stem}:{node.lineno}" for stem, tree in modules.items()
+                  for node in ast.walk(tree) if _is_unbounded_cache(node))
+
+
+def test_source_has_no_unbounded_cache():
+    assert unbounded_caches(_modules()) == []
+
+
+def test_scan_flags_unbounded_caches_only():
+    modules = {"a": ast.parse("from functools import cache, lru_cache\n"
+                              "@lru_cache(maxsize=None)\ndef f(n):\n    return n\n"
+                              "@lru_cache(8)\ndef g(n):\n    return n\n"
+                              "@lru_cache\ndef h(n):\n    return n\n"),
+               "b": ast.parse("import functools\n"
+                              "@functools.cache\ndef f(n):\n    return n\n"
+                              "k = functools.lru_cache(None)(len)\n"
+                              "@functools.lru_cache(maxsize=16)\ndef g(n):\n    return n\n")}
+    assert unbounded_caches(modules) == ["a:1", "a:2", "b:2", "b:5"]
