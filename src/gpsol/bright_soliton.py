@@ -77,8 +77,7 @@ def rhs_full(params: BrightSolitonParams, profile: InhomogeneityProfile,
     phase = 1.0 - 2.0 * eta * x * tanh
     rows = [adv_sech2, adv * tanh * tanh * sech2, adv * (x - zeta) * sech2,
             adv_sech2 * tanh * phase]
-    generic = profile.kind == "generic"
-    if generic:
+    if pot is not None:
         rows += [pot * tanh * sech2, pot * sech2 * phase]
     integrals = simpson(np.array(rows), dx)
 
@@ -86,7 +85,7 @@ def rhs_full(params: BrightSolitonParams, profile: InhomogeneityProfile,
     d_xi = 8.0 * eta ** 3 * integrals[1]
     d_zeta = -4.0 * xi + 8.0 * eta * xi * integrals[2]
     d_phi = 4.0 * (xi * xi - eta * eta) + 8.0 * eta * eta * integrals[3]
-    if generic:
+    if pot is not None:
         d_xi -= 2.0 * eta * eta * integrals[4]
         d_phi -= 2.0 * eta * integrals[5]
     return float(d_eta), float(d_xi), float(d_zeta), float(d_phi)

@@ -73,8 +73,9 @@ def rhs_full(params: DarkSolitonParams, profile: InhomogeneityProfile,
     """(dA/dt, dx0/dt) from the adiabatic integral equations.
 
     The profile enters through sqrt(g) d/dx (1/sqrt(g)) evaluated across
-    the soliton window; for generic profiles the curvature coefficient
-    sqrt(g) d2/dx2 (1/sqrt(g)) contributes two further integrals.
+    the soliton window; where the curvature coefficient
+    sqrt(g) d2/dx2 (1/sqrt(g)) does not vanish on the grid, it contributes
+    two further integrals.
     """
     A = params.A
     B = params.B
@@ -86,15 +87,14 @@ def rhs_full(params: DarkSolitonParams, profile: InhomogeneityProfile,
     tanh = np.tanh(th)
     adv_sech2 = adv * sech2
     rows = [adv_sech2 * sech2, adv_sech2 * (tanh + th * sech2)]
-    generic = profile.kind == "generic"
-    if generic:
+    if pot is not None:
         rows += [pot * tanh * sech2,
                  pot * (tanh * tanh / B - 1.0 + (x - params.x0) * tanh * sech2)]
     integrals = simpson(np.array(rows), dx)
 
     dA = 0.5 * B ** 3 * integrals[0]
     dx0 = A - 0.5 * A * integrals[1]
-    if generic:
+    if pot is not None:
         dA += 0.25 * B * B * integrals[2]
         dx0 -= 0.25 * integrals[3]
     return float(dA), float(dx0)
@@ -103,19 +103,17 @@ def rhs_full(params: DarkSolitonParams, profile: InhomogeneityProfile,
 def rhs_taylor(params: DarkSolitonParams, profile: InhomogeneityProfile) -> tuple[float, float]:
     """(dA/dt, dx0/dt) with the profile expanded around the center.
 
-    For the inverse-square family the center equation collapses to
-    dx0/dt = A exactly; the generic branch keeps the curvature correction
-    of the general expansion.
+    For the closed form g = 1/(D + C x)^2 (homogeneous included, C = 0)
+    the center equation collapses to dx0/dt = A exactly; a generic profile
+    keeps the curvature correction of the general expansion.
     """
     A = params.A
     x0 = params.x0
     if not profile.contains(x0, x0):
         raise RangeError(f"center {x0} outside profile validity")
-    if profile.kind == "inverse-square":
+    if profile.C is not None:
         w = profile.D + profile.C * x0
         return (2.0 / 3.0) * (1.0 - A * A) * profile.C / w, A
-    if profile.kind == "homogeneous":
-        return 0.0, A
     adv = float(profile.advection_coef(x0))
     dA = (2.0 / 3.0) * (1.0 - A * A) * adv
     B2 = 1.0 - A * A

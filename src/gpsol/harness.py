@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -77,6 +77,10 @@ _BRIGHT_KEYS = ("eta0", "xi0", "zeta0", "phi0")
 
 # time runs at this rate in each mode's frame: bright uses tau = t/2
 _FRAME_RATE = {"dark": 1.0, "bright": 0.5}
+# the number each numeric config field's annotation asks for; bool is neither
+_NUMBER_TYPES = {"int": (numbers.Integral, "an integer"),
+                 "float": (numbers.Real, "a real number"),
+                 "float | None": (numbers.Real, "a real number")}
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,15 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type not in _NUMBER_TYPES or (value is None and f.type.endswith("None")):
+                continue
+            number, noun = _NUMBER_TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.stepper not in STEPPERS:

@@ -10,10 +10,12 @@ and a first-derivative term -coef(x) * du/dx with
 
     coef = sqrt(g) * d/dx (1/sqrt(g)).
 
-The workhorse family is the inverse-square profile g = 1/(D + C x)^2,
-whose coefficients reduce to closed forms: coef = C/(D + C x) and an
-identically zero V_eff.  Those forms are evaluated branch-free in
-w = D + C x (no absolute values), so both signs of w behave identically.
+Every profile carries pointwise callables for g, 1/sqrt(g) and its first
+two derivatives, and each coefficient is one ratio of them.  For the
+closed form g = 1/(D + C x)^2 (homogeneous: C = 0) they are |w|, C sign(w)
+and zero in w = D + C x, so the ratios are bitwise C/w and zeros; generic
+profiles carry C = D = None.  coefficient_tables is the only evaluation of
+a profile on a grid, shared by the quadratures and the field kernel.
 """
 
 from __future__ import annotations
@@ -32,24 +34,26 @@ __all__ = [
     "make_inverse_square",
     "make_homogeneous",
     "make_generic",
+    "coefficient_tables",
     "window_coefficients",
 ]
 
-@dataclass(frozen=True)
+
+# eq=False: a profile is its own cache key, compared and hashed by identity
+@dataclass(frozen=True, eq=False)
 class InhomogeneityProfile:
     """A positive interaction profile with the derived perturbation data.
 
-    kind:      one of ``inverse-square``, ``homogeneous``, ``generic``
     x_lo/x_hi: validity interval; all evaluations must stay inside it
-    C, D:      inverse-square parameters (zero for the other kinds)
+    C, D:      closed-form parameters of g = 1/(D + C x)^2, None for a
+               generic profile
     fn_*:      vectorized callables for g, 1/sqrt(g) and its derivatives
     """
 
-    kind: str
     x_lo: float
     x_hi: float
-    C: float
-    D: float
+    C: float | None
+    D: float | None
     fn_g: Callable[[np.ndarray], np.ndarray]
     fn_inv_sqrt_g: Callable[[np.ndarray], np.ndarray]
     fn_d1_inv_sqrt_g: Callable[[np.ndarray], np.ndarray]
@@ -64,17 +68,11 @@ class InhomogeneityProfile:
     def advection_coef(self, x):
         """sqrt(g) * d/dx (1/sqrt(g)), the coefficient of du/dx."""
         x = np.asarray(x, dtype=np.float64)
-        if self.kind == "inverse-square":
-            return self.C / (self.D + self.C * x)
-        if self.kind == "homogeneous":
-            return np.zeros_like(x)
         return self.fn_d1_inv_sqrt_g(x) / self.fn_inv_sqrt_g(x)
 
     def potential_coef(self, x):
         """sqrt(g) * d2/dx2 (1/sqrt(g)); V_eff is -1/2 of this."""
         x = np.asarray(x, dtype=np.float64)
-        if self.kind in ("inverse-square", "homogeneous"):
-            return np.zeros_like(x)
         return self.fn_d2_inv_sqrt_g(x) / self.fn_inv_sqrt_g(x)
 
     def second_derivative_inv_g(self, x):
@@ -87,6 +85,16 @@ class InhomogeneityProfile:
 
     def contains(self, x_lo: float, x_hi: float) -> bool:
         return x_lo >= self.x_lo and x_hi <= self.x_hi
+
+
+def _closed_form(C: float, D: float, fn_g: Callable, x_lo: float,
+                 x_hi: float) -> InhomogeneityProfile:
+    return InhomogeneityProfile(
+        x_lo=x_lo, x_hi=x_hi, C=C, D=D, fn_g=fn_g,
+        fn_inv_sqrt_g=lambda x: np.abs(D + C * x),
+        fn_d1_inv_sqrt_g=lambda x: C * np.sign(D + C * x),
+        fn_d2_inv_sqrt_g=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
+    )
 
 
 def make_inverse_square(C: float, D: float, grid: SpatialGrid) -> InhomogeneityProfile:
@@ -109,39 +117,22 @@ def make_inverse_square(C: float, D: float, grid: SpatialGrid) -> InhomogeneityP
         w = D + C * x
         return 1.0 / (w * w)
 
-    def fn_inv_sqrt_g(x):
-        return np.abs(D + C * x)
-
-    def fn_d1(x):
-        # d/dx |w| = C * sign(w); with sqrt(g) = 1/|w| the product is C/w
-        w = D + C * x
-        return C * np.sign(w)
-
-    def fn_d2(x):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-    return InhomogeneityProfile(
-        kind="inverse-square", x_lo=grid.x_min, x_hi=grid.x_max,
-        C=C, D=D, fn_g=fn_g, fn_inv_sqrt_g=fn_inv_sqrt_g,
-        fn_d1_inv_sqrt_g=fn_d1, fn_d2_inv_sqrt_g=fn_d2,
-    )
+    return _closed_form(C, D, fn_g, grid.x_min, grid.x_max)
 
 
 def make_homogeneous(g_const: float = 1.0) -> InhomogeneityProfile:
-    """Constant profile g(x) = g_const > 0, valid everywhere."""
+    """Constant profile g(x) = g_const > 0, valid everywhere.
+
+    The closed form with C = 0 and D = 1/sqrt(g_const); g keeps the exact
+    constant, which 1/D^2 would round.
+    """
     g_const = float(g_const)
     if not g_const > 0.0:
         raise ConfigurationError(f"homogeneous profile needs g > 0, got {g_const}")
-    inv = 1.0 / np.sqrt(g_const)
-
-    def zeros(x):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-    return InhomogeneityProfile(
-        kind="homogeneous", x_lo=-np.inf, x_hi=np.inf, C=0.0, D=0.0,
-        fn_g=lambda x: np.full_like(np.asarray(x, dtype=np.float64), g_const),
-        fn_inv_sqrt_g=lambda x: np.full_like(np.asarray(x, dtype=np.float64), inv),
-        fn_d1_inv_sqrt_g=zeros, fn_d2_inv_sqrt_g=zeros,
+    return _closed_form(
+        0.0, float(1.0 / np.sqrt(g_const)),
+        lambda x: np.full_like(np.asarray(x, dtype=np.float64), g_const),
+        -np.inf, np.inf,
     )
 
 
@@ -157,7 +148,7 @@ def make_generic(
 
     All four callables are required and must be pointwise, since the
     quadratures read windows of a whole-grid evaluation; positivity of g is
-    spot-checked on a coarse sample of the validity interval.
+    spot-checked on a coarse sample of the finite validity interval.
     """
     for name, fn in (("fn_g", fn_g), ("fn_inv_sqrt_g", fn_inv_sqrt_g),
                      ("fn_d1_inv_sqrt_g", fn_d1_inv_sqrt_g),
@@ -166,45 +157,47 @@ def make_generic(
             raise ConfigurationError(f"generic profile needs callable {name}")
     x_lo = float(x_lo)
     x_hi = float(x_hi)
-    if not x_hi > x_lo:
-        raise ConfigurationError("generic profile needs x_hi > x_lo")
+    if not (np.isfinite(x_lo) and np.isfinite(x_hi) and x_hi > x_lo):
+        raise ConfigurationError(
+            f"generic profile needs a finite interval x_lo < x_hi, got [{x_lo}, {x_hi}]")
     probe = np.linspace(x_lo, x_hi, 33)
     gv = np.asarray(fn_g(probe), dtype=np.float64)
     if not np.all(np.isfinite(gv)) or not np.all(gv > 0.0):
         raise ConfigurationError("generic profile must be positive and finite")
     return InhomogeneityProfile(
-        kind="generic", x_lo=x_lo, x_hi=x_hi, C=0.0, D=0.0,
+        x_lo=x_lo, x_hi=x_hi, C=None, D=None,
         fn_g=fn_g, fn_inv_sqrt_g=fn_inv_sqrt_g,
         fn_d1_inv_sqrt_g=fn_d1_inv_sqrt_g, fn_d2_inv_sqrt_g=fn_d2_inv_sqrt_g,
     )
 
 
 @lru_cache(maxsize=8)
-def _coefficient_tables(profile: InhomogeneityProfile,
-                        grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only advection_coef and potential_coef at every grid point.
+def coefficient_tables(profile: InhomogeneityProfile, grid: SpatialGrid):
+    """Read-only g, advection_coef and potential_coef at every grid point.
 
+    The potential table is None where it vanishes on the whole grid.
     Points beyond the profile's validity, which no window reaches, take its
     edge value.
     """
     x = np.clip(grid.x, profile.x_lo, profile.x_hi)
+    g = np.asarray(profile.g(x), dtype=np.float64)
     adv, pot = profile.advection_coef(x), profile.potential_coef(x)
-    adv.flags.writeable = pot.flags.writeable = False
-    return adv, pot
+    g.flags.writeable = adv.flags.writeable = pot.flags.writeable = False
+    return g, adv, pot if np.any(pot != 0.0) else None
 
 
 def window_coefficients(profile: InhomogeneityProfile, grid: SpatialGrid,
                         center: float, half_width: float):
     """x, advection_coef and potential_coef on the grid window around center.
 
-    The coefficients are read-only slices of tables evaluated once per
-    (profile, grid) object pair; being pointwise, they are bitwise their
-    evaluation on the window.  Raises RangeError when [center - hw,
-    center + hw] leaves the grid or the profile's validity.
+    The coefficients are read-only slices of coefficient_tables, so they
+    are bitwise their evaluation on the window; the potential is None where
+    its table is.  Raises RangeError when [center - hw, center + hw] leaves
+    the grid or the profile's validity.
     """
     lo, hi = center - half_width, center + half_width
     if not profile.contains(lo, hi):
         raise RangeError(f"soliton window [{lo:.3f}, {hi:.3f}] outside profile validity")
     window = slice(*window_indices(grid, center, half_width))
-    adv, pot = _coefficient_tables(profile, grid)
-    return grid.x[window], adv[window], pot[window]
+    _, adv, pot = coefficient_tables(profile, grid)
+    return grid.x[window], adv[window], None if pot is None else pot[window]

@@ -6,7 +6,9 @@ Variants (all first order in time, written for the time derivative):
   transformed-bright       i du/dt   = -1/2 u_xx  -   |u|^2 u       + P[u]
   transformed-dark-rotated i du/dt   = -1/2 u_xx  +  (|u|^2 - 1) u  + P[u]
 
-with P[u] = V_eff u - coef du/dx from the inhomogeneity profile.  Space is
+with P[u] = V_eff u - coef du/dx from the inhomogeneity profile, whose g,
+coef and V_eff EvolutionProblem reads from inhomogeneity.coefficient_tables,
+the tables the rhs_full quadratures read too.  Space is
 discretized with fourth-order central five-point stencils, the program's
 only derivative stencils; the two outermost points on each side are
 clamped to their initial values (their time derivative is forced to
@@ -53,7 +55,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid_field import ComplexField, SpatialGrid, simpson
-from .inhomogeneity import InhomogeneityProfile
+from .inhomogeneity import InhomogeneityProfile, coefficient_tables
 from .ode_engine import abm4_step, march, rk4_step, step_count
 
 __all__ = [
@@ -99,21 +101,17 @@ class EvolutionProblem:
                 raise ConfigurationError(
                     f"{self.variant} implies s = {implied}, got {self.s}"
                 )
-        x = self.grid.x
-        self._g = np.asarray(self.profile.g(x), dtype=np.float64)
+        self._g, adv, pot = coefficient_tables(self.profile, self.grid)
         self._inv_g = 1.0 / self._g
         # the transformation-induced terms belong to the u frames only;
         # the psi frame keeps the bare interaction profile instead
         self._adv = None
         self._veff = None
         if self.variant != "original-psi":
-            adv = np.asarray(self.profile.advection_coef(x), dtype=np.float64)
             if np.any(adv != 0.0):
                 self._adv = adv
-            if self.profile.kind == "generic":
-                veff = -0.5 * np.asarray(self.profile.potential_coef(x), dtype=np.float64)
-                if np.any(veff != 0.0):
-                    self._veff = veff
+            if pot is not None:
+                self._veff = -0.5 * pot
 
 
 # Fourth-order five-point stencils on u[k:k+m], k = 0..4: 12 dx^2 u'' and

@@ -91,9 +91,11 @@ def test_taylor_rhs_inverse_square(profile):
 
 
 def test_taylor_rhs_homogeneous():
-    assert dark.rhs_taylor(
-        dark.DarkSolitonParams(A=0.3, x0=5.0), make_homogeneous(1.0)
-    ) == (0.0, 0.3)
+    # the closed form at C = 0: exactly +0.0, sign bit included
+    for g in (1.0, 2.0):
+        dA, dx0 = dark.rhs_taylor(dark.DarkSolitonParams(A=0.3, x0=5.0),
+                                  make_homogeneous(g))
+        assert (dA, dx0) == (0.0, 0.3) and not np.signbit(dA)
 
 
 def test_taylor_rhs_generic_keeps_curvature():

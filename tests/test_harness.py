@@ -109,6 +109,25 @@ def test_config_rejects_non_finite_floats(name, value):
         ExperimentConfig(**{"mode": "dark", "A0": 0.0, "t_max": 1.0, name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("sample_interval", 2.5), ("n_points", 1025.5), ("n_points", True),
+    ("C", "1"), ("t_max", "0.1"), ("dt_ode", False),
+])
+def test_config_rejects_wrong_number_types(name, value):
+    # without the check each was accepted, and then either ran on a value
+    # the config does not report or ended in a TypeError mid-run
+    kwargs = {"mode": "dark", "A0": 0.0, "t_max": 0.05, "n_points": 1025,
+              "sample_interval": 20, "tiers": ("pde", "eom"), name: value}
+    with pytest.raises(ConfigurationError, match=f"{name} must be an? "):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_accepts_numpy_numbers():
+    cfg = ExperimentConfig(mode="dark", A0=np.float64(0.0), t_max=np.float64(0.05),
+                           n_points=np.int64(1025), sample_interval=np.int64(20))
+    assert (cfg.n_points, cfg.n_samples) == (1025, 6)
+
+
 def test_singularity_inside_domain_is_special():
     with pytest.raises(SingularityError):
         config_from_mapping({"mode": "dark", "t_max": "1", "A0": "0", "D": "-100"})

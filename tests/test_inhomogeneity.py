@@ -8,6 +8,7 @@ from gpsol import dark_soliton as dark
 from gpsol import inhomogeneity
 from gpsol.errors import ConfigurationError, SingularityError
 from gpsol.grid_field import build_grid, window_indices
+from gpsol.harness import ExperimentConfig, run_experiment
 from gpsol.inhomogeneity import (
     InhomogeneityProfile,
     make_generic,
@@ -57,12 +58,30 @@ def test_inverse_square_rejects_interior_singularity(grid):
         make_inverse_square(0.0, 0.0, grid)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("D", [200.0, -200.0, 400.0, 1.0, -3.0])
+@pytest.mark.parametrize("C", [1.0, -1.0, 0.5, 2.0, 0.0])
+def test_closed_form_coefficients_are_bitwise_c_over_w(C, D):
+    # built on a grid clear of every singular point -D/C, then evaluated
+    # across the default grid and at scalars, where the ratios of the
+    # 1/sqrt(g) closures must reproduce C/w and zeros, sign bits included
+    p = make_inverse_square(C, D, build_grid(7.0, 9.0, 17))
+    for x in (build_grid(-150.0, 150.0, 4097).x, 0.0, -0.0, 12.5, -140.0):
+        x = np.asarray(x, dtype=np.float64)
+        assert np.array_equal(_bits(p.advection_coef(x)), _bits(C / (D + C * x)))
+        assert np.array_equal(_bits(p.potential_coef(x)), _bits(np.zeros_like(x)))
+
+
 def test_homogeneous_profile():
     p = make_homogeneous(2.0)
     x = np.linspace(-5.0, 5.0, 11)
     assert np.all(p.g(x) == 2.0)
-    assert np.all(p.advection_coef(x) == 0.0)
-    assert np.all(p.potential_coef(x) == 0.0)
+    # +0.0 everywhere, sign bits included
+    assert np.array_equal(_bits(p.advection_coef(x)), _bits(np.zeros_like(x)))
+    assert np.array_equal(_bits(p.potential_coef(x)), _bits(np.zeros_like(x)))
     assert p.contains(-1e9, 1e9)
     with pytest.raises(ConfigurationError):
         make_homogeneous(0.0)
@@ -95,6 +114,10 @@ def test_generic_profile_validation():
     negative = lambda x: -ones(x)
     with pytest.raises(ConfigurationError):
         make_generic(negative, ones, ones, ones, -1.0, 1.0)
+    # an infinite interval cannot be probed: named, and no numpy warning
+    for x_lo, x_hi in ((-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0)):
+        with pytest.raises(ConfigurationError, match=r"finite interval .*\[.*inf"):
+            make_generic(ones, ones, ones, ones, x_lo, x_hi)
 
 
 def _cosine_profile(x_lo, x_hi):
@@ -152,11 +175,62 @@ def test_each_profile_object_is_tabulated_once(monkeypatch):
     assert tabulated == [id(first), id(second)]
 
 
+def _linear_generic():
+    # 1/sqrt(g) = 1 + x/100 supplied as generic callables: zero curvature
+    return make_generic(
+        fn_g=lambda x: 1.0 / (1.0 + np.asarray(x) / 100.0) ** 2,
+        fn_inv_sqrt_g=lambda x: 1.0 + np.asarray(x) / 100.0,
+        fn_d1_inv_sqrt_g=lambda x: np.full_like(np.asarray(x, dtype=np.float64), 0.01),
+        fn_d2_inv_sqrt_g=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
+        x_lo=-60.0, x_hi=60.0,
+    )
+
+
+def test_vanishing_potential_rows_are_skipped_exactly(monkeypatch):
+    grid = build_grid(-60.0, 60.0, 1201)
+    profile = _linear_generic()
+    assert inhomogeneity.coefficient_tables(profile, grid)[2] is None
+    calls = [(dark, dark.DarkSolitonParams(A=0.3, x0=2.0)),
+             (bright, bright.BrightSolitonParams(eta=0.5, xi=0.25, zeta=-3.0))]
+    skipped = [module.rhs_full(params, profile, grid) for module, params in calls]
+    # the window evaluation hands rhs_full the zero potential rows
+    for module, _ in calls:
+        monkeypatch.setattr(module, "window_coefficients", _on_window)
+    assert skipped == [module.rhs_full(params, profile, grid) for module, params in calls]
+
+
+def test_dark_field_run_tabulates_its_profile_once(monkeypatch):
+    tabulated = []
+    real = InhomogeneityProfile.advection_coef
+
+    def counting(self, x):
+        tabulated.append(np.shape(x))
+        return real(self, x)
+
+    monkeypatch.setattr(InhomogeneityProfile, "advection_coef", counting)
+    # ode-full fills the table, and the field kernel reads the same one
+    run_experiment(ExperimentConfig(mode="dark", A0=0.0, x0_0=1.0, t_max=0.1,
+                                    tiers=("pde", "ode-full")))
+    assert tabulated == [(4097,)]
+
+
+def test_profiles_built_alike_are_distinct_cache_keys():
+    grid = build_grid(-60.0, 60.0, 1201)
+    h = lambda x: 1.0 + 0.1 * np.cos(np.asarray(x))
+    fns = (lambda x: 1.0 / h(x) ** 2, h, lambda x: -0.1 * np.sin(np.asarray(x)),
+           lambda x: -0.1 * np.cos(np.asarray(x)))
+    first, second = (make_generic(*fns, -60.0, 60.0) for _ in range(2))
+    assert first != second and hash(first) != hash(second)
+    first_tables = inhomogeneity.coefficient_tables(first, grid)
+    assert inhomogeneity.coefficient_tables(second, grid) is not first_tables
+    assert inhomogeneity.coefficient_tables(first, grid) is first_tables
+
+
 def test_coefficient_tables_are_read_only():
     grid = build_grid(-60.0, 60.0, 1201)
     profile = _cosine_profile(-60.0, 60.0)
     _, adv, pot = window_coefficients(profile, grid, 0.0, 10.0)
-    for table in (adv, pot, *inhomogeneity._coefficient_tables(profile, grid)):
+    for table in (adv, pot, *inhomogeneity.coefficient_tables(profile, grid)):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0

@@ -119,6 +119,15 @@ def test_conserved_quantity_names():
     assert n_w == pytest.approx(4.0 * 0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_homogeneous_problem_has_no_transformation_terms(variant):
+    grid = build_grid(-20.0, 20.0, 641)
+    problem = EvolutionProblem(variant, make_homogeneous(2.0), grid,
+                               s=-1 if variant == "original-psi" else None)
+    assert problem._adv is None and problem._veff is None
+    assert np.all(problem._g == 2.0)
+
+
 def test_evolve_validation():
     grid, problem = _dark_setup(15.0, 641)
     field = dark.ansatz(dark.DarkSolitonParams(A=0.0, x0=0.0), grid)
