@@ -141,12 +141,14 @@ def effective_potential(zeta, eta0: float, zeta0: float, C: float, D: float):
     return out if isinstance(out, np.ndarray) else float(out)
 
 
-def extract_center(field: ComplexField) -> float:
-    """Density centroid: integral of x |u|^2 over integral of |u|^2."""
-    grid = field.grid
-    dens = field.values.real ** 2 + field.values.imag ** 2
+def extract_center(dens: np.ndarray, grid: SpatialGrid, work: np.ndarray | None = None) -> float:
+    """Density centroid: integral of x |u|^2 over integral of |u|^2.
+
+    dens is a sample's density |u|^2 on grid; x |u|^2 goes to work, a row
+    a caller keeps for its samples, or to a new row without it.
+    """
     den = simpson(dens, grid.dx)
     if not den > 1e-8:
         raise ExtractionError("field carries no usable density")
-    num = simpson(grid.x * dens, grid.dx)
+    num = simpson(np.multiply(grid.x, dens, out=work), grid.dx)
     return num / den

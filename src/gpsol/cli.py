@@ -15,23 +15,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import (ConfigurationError, GpsolError, InstabilityError,
                      SingularityError)
-from .harness import (SCENARIOS, config_from_mapping, run_experiment,
-                      scenario, write_csv, _parse_pairs)
+from .harness import (SCENARIOS, ExperimentConfig, config_from_mapping,
+                      run_experiment, scenario, write_csv, _parse_pairs)
 
 __all__ = ["main", "script_entry"]
 
-_OVERRIDE_FLAGS = (
-    ("--C", "C"), ("--D", "D"), ("--A0", "A0"), ("--x0-0", "x0_0"),
-    ("--eta0", "eta0"), ("--xi0", "xi0"), ("--zeta0", "zeta0"),
-    ("--phi0", "phi0"), ("--t-max", "t_max"), ("--dt-pde", "dt_pde"),
-    ("--dt-ode", "dt_ode"), ("--x-min", "x_min"), ("--x-max", "x_max"),
-    ("--n-points", "n_points"), ("--stepper", "stepper"),
-    ("--tiers", "tiers"), ("--sample-interval", "sample_interval"),
-    ("--out", "out_path"),
-)
+# one override flag per config key but mode: --t-max sets t_max, --out out_path
+_OVERRIDE_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "mode")
+# the exit code of each failure: the first kind it is an instance of
+_EXIT_CODES = ((SingularityError, 4), (ConfigurationError, 2), (GpsolError, 3), (OSError, 1))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one experiment from a config file")
     run_p.add_argument("--config", required=True, help="key=value config file")
-    for flag, key in _OVERRIDE_FLAGS:
+    for key in _OVERRIDE_KEYS:
+        flag = "--out" if key == "out_path" else "--" + key.replace("_", "-")
         run_p.add_argument(flag, dest=f"override_{key}", default=None,
                            metavar="VALUE", help=f"override config key {key}")
 
@@ -58,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     with open(args.config) as handle:
         pairs = _parse_pairs(handle.read())
-    for _, key in _OVERRIDE_FLAGS:
+    for key in _OVERRIDE_KEYS:
         value = getattr(args, f"override_{key}")
         if value is not None:
             pairs[key] = value
@@ -97,21 +94,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "scenario":
             return _cmd_scenario(args)
         return _cmd_validate()
-    except SingularityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except ConfigurationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except InstabilityError as err:
-        print(f"error: {err} (t = {err.t_fail:g})", file=sys.stderr)
-        return 3
-    except GpsolError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    except (GpsolError, OSError) as err:
+        when = f" (t = {err.t_fail:g})" if isinstance(err, InstabilityError) else ""
+        print(f"error: {err}{when}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
 
 
 def script_entry() -> None:

@@ -189,11 +189,12 @@ def hamilton_rhs(state: DarkParticleState, C: float, D: float) -> tuple[float, f
     return dx0, dP
 
 
-def extract_center(field: ComplexField, x_b: float) -> float:
+def extract_center(dens: np.ndarray, grid: SpatialGrid, x_b: float) -> float:
     """Squared-dip centroid against the background density probed at x_b.
 
-    x0 = integral of x (b - |u|^2)^2 over integral of (b - |u|^2)^2 with
-    b the density at the grid point nearest to x_b, taken over the window
+    dens is a field sample's density |u|^2 on grid.  x0 = integral of
+    x (b - |u|^2)^2 over integral of (b - |u|^2)^2 with b the density at
+    the grid point nearest to x_b, taken over the window
     |x - x_min_density| <= 17/B_est (clipped to the grid).
 
     The squared weight keeps the measurement locked to the soliton core.
@@ -203,11 +204,9 @@ def extract_center(field: ComplexField, x_b: float) -> float:
     acceleration, while squaring suppresses the shelf quadratically and
     leaves the centroid of the symmetric core dip untouched.
     """
-    grid = field.grid
     if not (grid.x_min <= x_b <= grid.x_max):
         raise RangeError(f"background probe {x_b} outside grid")
     j = int(round((x_b - grid.x_min) / grid.dx))
-    dens = field.values.real ** 2 + field.values.imag ** 2
     b = dens[j]
     j_min = int(np.argmin(dens))
     depth = b - dens[j_min]

@@ -1,11 +1,12 @@
-"""Uniform 1D grids, complex fields on them, quadrature and windows.
+"""Uniform 1D grids, complex fields on them, densities, quadrature, windows.
 
 Integration is composite Simpson, which is why grids carry an odd number
 of points (an even number of intervals).  simpson is one einsum against
 cached weights [1, 4, 2, ..., 4, 1]: einsum sums a row as it sums a 1-D
 input, which a BLAS product (@, np.dot) does not, and its sum does not
-depend on the thread count.  The field's derivative stencils live in
-pde_engine's kernel, the only place that uses them.
+depend on the thread count.  density owns re^2 + im^2 of a field sample
+(the field kernel keeps its own on its interior rows), and the derivative
+stencils live in pde_engine's kernel, the only place that uses them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "SpatialGrid",
     "ComplexField",
     "build_grid",
+    "density",
     "simpson",
     "window_indices",
 ]
@@ -84,6 +86,17 @@ class ComplexField:
         if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
             raise ConfigurationError("field samples must be finite")
         self.values = vals
+
+
+def density(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|u|^2 as re^2 + im^2, into out[0] with out[1] as scratch.
+
+    out is two real rows a caller keeps so that no call allocates; without
+    it the rows are new.
+    """
+    dens, work = np.empty((2, values.shape[0])) if out is None else out
+    np.square(values.real, out=dens)
+    return np.add(dens, np.square(values.imag, out=work), out=dens)
 
 
 @lru_cache(maxsize=32)

@@ -15,7 +15,12 @@ schema so identical configs produce byte-identical files.
 
 The pde tier reads each field sample while the field marches (evolve's
 on_sample consumer) and keeps no snapshot, so a run's field memory is
-bounded by the grid size, not by t_max.
+bounded by the grid size, not by t_max.  It reads the center and the
+amplitude off the density evolve hands it, and allocates no grid-length row.
+
+The fields of ExperimentConfig are the one table of config keys: each
+annotation picks the value's parser, a mode-specific key names its mode in
+the field's metadata, and the CLI derives one override flag per field.
 
 The reduced tiers (all but pde) are rows of one table, _REDUCED: per mode
 and tier, the initial state, a right-hand side returning a tuple, and the
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -42,7 +47,7 @@ import numpy as np
 from . import bright_soliton as bright
 from . import dark_soliton as dark
 from .errors import ConfigurationError, RangeError
-from .grid_field import ComplexField, SpatialGrid, build_grid, simpson
+from .grid_field import SpatialGrid, build_grid, density, simpson
 from .inhomogeneity import InhomogeneityProfile, make_inverse_square
 from .ode_engine import OdeSystem, abm4_integrate, step_count
 from .pde_engine import STEPPERS, EvolutionProblem, check_time_step, evolve
@@ -69,18 +74,30 @@ EDGE_MARGIN = 30.0  # soliton keeps this distance from both grid edges
 CSV_HEADER = ("t,x0_pde,x0_ode_full,x0_ode_taylor,x0_eom,x0_eom_a,"
               "aux_pde,aux_ode,conserved,delta_ode_full,delta_eom,delta_eom_a")
 
-_COMMON_KEYS = ("mode", "C", "D", "t_max", "dt_pde", "dt_ode", "x_min",
-                "x_max", "n_points", "stepper", "tiers", "sample_interval",
-                "out_path")
-_DARK_KEYS = ("A0", "x0_0")
-_BRIGHT_KEYS = ("eta0", "xi0", "zeta0", "phi0")
-
 # time runs at this rate in each mode's frame: bright uses tau = t/2
 _FRAME_RATE = {"dark": 1.0, "bright": 0.5}
-# the number each numeric config field's annotation asks for; bool is neither
-_NUMBER_TYPES = {"int": (numbers.Integral, "an integer"),
-                 "float": (numbers.Real, "a real number"),
-                 "float | None": (numbers.Real, "a real number")}
+
+
+def _number(cast, noun: str):
+    def parse(key: str, value: str):
+        try:
+            return cast(value)
+        except ValueError:
+            raise ConfigurationError(f"{key} expects {noun}, got {value!r}") from None
+    return parse
+
+
+# per annotation of a config field: the parser of its key=value text, and
+# the number the value must be, if any (bool counts as neither)
+_FLOAT = (_number(float, "a number"), numbers.Real, "a real number")
+_TEXT = (lambda key, value: value, None, None)
+_ANNOTATIONS = {
+    "int": (_number(int, "an integer"), numbers.Integral, "an integer"),
+    "float": _FLOAT, "float | None": _FLOAT, "str": _TEXT, "str | None": _TEXT,
+    "tuple[str, ...]": (lambda key, value: tuple(filter(None, map(str.strip, value.split(",")))),
+                        None, None),
+}
+_DARK, _BRIGHT = {"mode": "dark"}, {"mode": "bright"}
 
 
 @dataclass(frozen=True)
@@ -91,12 +108,12 @@ class ExperimentConfig:
     t_max: float
     C: float = 1.0
     D: float = -200.0
-    A0: float | None = None
-    x0_0: float = 0.0
-    eta0: float | None = None
-    xi0: float | None = None
-    zeta0: float = 0.0
-    phi0: float = 0.0
+    A0: float | None = field(default=None, metadata=_DARK)
+    x0_0: float = field(default=0.0, metadata=_DARK)
+    eta0: float | None = field(default=None, metadata=_BRIGHT)
+    xi0: float | None = field(default=None, metadata=_BRIGHT)
+    zeta0: float = field(default=0.0, metadata=_BRIGHT)
+    phi0: float = field(default=0.0, metadata=_BRIGHT)
     dt_pde: float = 5e-4
     dt_ode: float = 1e-3
     x_min: float = -150.0
@@ -110,12 +127,17 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type not in _NUMBER_TYPES or (value is None and f.type.endswith("None")):
+            _, number, noun = _ANNOTATIONS[f.type]
+            if number is None or (value is None and f.type.endswith("None")):
                 continue
-            number, noun = _NUMBER_TYPES[f.type]
             if isinstance(value, bool) or not isinstance(value, number):
                 raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
-            if not math.isfinite(value):
+            # integer keys are counts for numpy, whose indices have 64 bits;
+            # math.isfinite would overflow on one past a float's range
+            if number is numbers.Integral:
+                if not -2 ** 63 < value < 2 ** 63:
+                    raise ConfigurationError(f"{f.name} must be an integer below 2**63")
+            elif not math.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
@@ -195,20 +217,6 @@ def _parse_pairs(source: str) -> dict[str, str]:
     return pairs
 
 
-def _to_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigurationError(f"{key} expects a number, got {value!r}") from None
-
-
-def _to_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigurationError(f"{key} expects an integer, got {value!r}") from None
-
-
 def config_from_mapping(pairs: dict[str, str]) -> ExperimentConfig:
     """Typed ExperimentConfig from raw key=value strings."""
     if "mode" not in pairs:
@@ -216,23 +224,15 @@ def config_from_mapping(pairs: dict[str, str]) -> ExperimentConfig:
     mode = pairs["mode"]
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
-    allowed = set(_COMMON_KEYS) | set(_DARK_KEYS if mode == "dark" else _BRIGHT_KEYS)
     kwargs: dict = {"mode": mode}
+    config_fields = {f.name: f for f in fields(ExperimentConfig)}
     for key, value in pairs.items():
         if key == "mode":
             continue
-        if key not in allowed:
+        f = config_fields.get(key)
+        if f is None or f.metadata.get("mode", mode) != mode:
             raise ConfigurationError(f"unknown key {key!r} for mode {mode}")
-        if key in ("n_points", "sample_interval"):
-            kwargs[key] = _to_int(key, value)
-        elif key == "stepper":
-            kwargs[key] = value
-        elif key == "tiers":
-            kwargs[key] = tuple(t.strip() for t in value.split(",") if t.strip())
-        elif key == "out_path":
-            kwargs[key] = value
-        else:
-            kwargs[key] = _to_float(key, value)
+        kwargs[key] = _ANNOTATIONS[f.type][0](key, value)
     if "t_max" not in kwargs:
         raise ConfigurationError("missing key: t_max")
     return ExperimentConfig(**kwargs)
@@ -416,15 +416,15 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         aux_pde = np.empty(n_samples)
         lo, hi = config.x_min + EDGE_MARGIN, config.x_max - EDGE_MARGIN
 
-        def take(k: int, u: np.ndarray) -> None:
-            field = ComplexField(grid, u)
+        work = np.empty(grid.n_points)  # bright's x |u|^2, kept for the run
+
+        def take(k: int, u: np.ndarray, dens: np.ndarray) -> None:
             if config.mode == "dark":
-                center = dark.extract_center(field, probe)
-                dens = np.abs(field.values) ** 2
+                center = dark.extract_center(dens, grid, probe)
                 aux_pde[k] = np.sqrt(max(float(np.min(dens)), 0.0))
             else:
-                center = bright.extract_center(field)
-                aux_pde[k] = 0.25 * simpson(np.abs(field.values) ** 2, grid.dx)
+                center = bright.extract_center(dens, grid, work)
+                aux_pde[k] = 0.25 * simpson(dens, grid.dx)
             if not lo <= center <= hi:
                 raise RangeError(
                     f"soliton center {center:g} within {EDGE_MARGIN:g} of a grid "
@@ -433,7 +433,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             pde_centers[k] = center
 
         # sample 0 here, the rest as the field marches: no snapshot is kept
-        take(0, field0.values)
+        take(0, field0.values, density(field0.values))
         trajectory = evolve(problem, field0, 0.0, config.t_max, config.dt_pde,
                             config.sample_interval, stepper=config.stepper,
                             on_sample=take)
@@ -503,19 +503,12 @@ def _fmt(value: float) -> str:
 
 def write_csv(record: RunRecord, path: str) -> None:
     """Serialize the record; absent tiers leave their cells empty."""
-    series: dict[str, np.ndarray] = {}
-    for tier, column in _TIER_COLUMN.items():
-        if tier in record.centers:
-            series[column] = record.centers[tier]
-    for tier, column in _DELTA_COLUMN.items():
-        if tier in record.deltas:
-            series[column] = record.deltas[tier]
-    if record.aux_pde is not None:
-        series["aux_pde"] = record.aux_pde
-    if record.aux_ode is not None:
-        series["aux_ode"] = record.aux_ode
-    if record.conserved is not None:
-        series["conserved"] = record.conserved
+    series = {column: record.centers[tier] for tier, column in _TIER_COLUMN.items()
+              if tier in record.centers}
+    series.update((column, record.deltas[tier]) for tier, column in _DELTA_COLUMN.items()
+                  if tier in record.deltas)
+    series.update((name, getattr(record, name)) for name in ("aux_pde", "aux_ode", "conserved")
+                  if getattr(record, name) is not None)
     lines = [CSV_HEADER]
     for k in range(record.times.shape[0]):
         cells = [_fmt(record.times[k])]

@@ -38,12 +38,13 @@ validates its inputs and hands the kernel to ode_engine.march, which
 advances the field in place; once the steps' work arrays exist, a field
 step allocates nothing.
 
-Samples go to a consumer on_sample(j, u) with march's contract: it sees
-every sample after the initial one, and u is the live field buffer, valid
-only during the call.  The default consumer stores each sample as a row of
-PdeTrajectory.fields, so that array grows with t_end.  A caller that
-passes its own consumer gets no snapshots (fields has zero rows), and the
-field memory of the run stays bounded by the grid size.
+Each sample's density goes once into rows evolve keeps for the run; the
+conserved norm reads it, and so does the consumer on_sample(j, u, dens),
+which sees every sample after the initial one, the live field buffer u
+and dens valid only during the call.  The default consumer stores each
+sample as a row of PdeTrajectory.fields, so that array grows with t_end.
+A caller that passes its own consumer gets no snapshots (fields has zero
+rows), and the field memory of the run stays bounded by the grid size.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid_field import ComplexField, SpatialGrid, simpson
+from .grid_field import ComplexField, SpatialGrid, density, simpson
 from .inhomogeneity import InhomogeneityProfile, coefficient_tables
 from .ode_engine import abm4_step, march, rk4_step, step_count
 
@@ -182,17 +183,15 @@ def _rhs_kernel(problem: EvolutionProblem):
     return rhs_into
 
 
-def _norm(problem: EvolutionProblem, u: np.ndarray, buf: np.ndarray | None = None) -> float:
-    """The conserved norm of the variant's frame.
+def _norm(problem: EvolutionProblem, dens: np.ndarray, work: np.ndarray | None = None) -> float:
+    """The conserved norm of the variant's frame, from the density |u|^2.
 
     original-psi conserves N_psi = integral |Psi|^2; the transformed
-    variants conserve N_w = integral |u|^2 / g.  The densities go to buf,
-    two grid-length rows evolve keeps for a run, or to new rows without it.
+    variants conserve N_w = integral |u|^2 / g, whose integrand goes to
+    work, a row evolve keeps for a run, or to a new row without it.
     """
-    dens, work = np.empty((2, u.shape[0])) if buf is None else buf
-    np.add(np.square(u.real, out=dens), np.square(u.imag, out=work), out=dens)
     if problem.variant != "original-psi":
-        np.multiply(dens, problem._inv_g, out=dens)
+        dens = np.multiply(dens, problem._inv_g, out=work)
     return simpson(dens, problem.grid.dx)
 
 
@@ -240,7 +239,7 @@ def evolve(
     sample_every: int,
     stepper: str = "rk4",
     norm_drift_tol: float = 1e-6,
-    on_sample: Callable[[int, np.ndarray], None] | None = None,
+    on_sample: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> PdeTrajectory:
     """March the field from t0 to t_end, sampling every sample_every steps.
 
@@ -250,9 +249,10 @@ def evolve(
     norm_drift_tol sets the trajectory's warning flag.
 
     Without on_sample every sample, the initial one included, is stored in
-    the trajectory's fields.  With it, on_sample(j, u) receives samples
-    j = 1, 2, ... as the live field buffer, valid only during the call, and
-    fields has zero rows; an exception it raises ends the march.
+    the trajectory's fields.  With it, on_sample(j, u, dens) receives
+    samples j = 1, 2, ... as the live field buffer u and its density dens,
+    both valid only during the call, and fields has zero rows; an exception
+    it raises ends the march.
     """
     check_time_step(dt, problem.grid, stepper)
     n_steps = step_count(t0, t_end, dt)
@@ -268,20 +268,22 @@ def evolve(
     times = t0 + (dt * sample_every) * np.arange(n_samples)
     conserved = np.empty(n_samples)
     u = field0.values.copy()
-    norm_buf = np.empty((2, problem.grid.n_points))
-    conserved[0] = _norm(problem, u, norm_buf)
+    # the sample's density and a scratch row, kept for the run
+    buf = np.empty((2, problem.grid.n_points))
+    conserved[0] = _norm(problem, density(u, buf), buf[1])
     if on_sample is None:
         fields = np.empty((n_samples, problem.grid.n_points), dtype=np.complex128)
         fields[0] = u
 
-        def on_sample(j: int, u: np.ndarray) -> None:
+        def on_sample(j: int, u: np.ndarray, dens: np.ndarray) -> None:
             fields[j] = u
     else:
         fields = np.empty((0, problem.grid.n_points), dtype=np.complex128)
 
     def record(j: int, u: np.ndarray) -> None:
-        conserved[j] = _norm(problem, u, norm_buf)
-        on_sample(j, u)
+        dens = density(u, buf)
+        conserved[j] = _norm(problem, dens, buf[1])
+        on_sample(j, u, dens)
 
     # looked up in this module at each call, so that a wrapper installed
     # on pde_engine.rk4_step is the step that runs

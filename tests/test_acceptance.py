@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from gpsol.grid_field import ComplexField, build_grid
+from gpsol.grid_field import build_grid, density
 from gpsol.inhomogeneity import make_homogeneous, make_inverse_square
 from gpsol.ode_engine import OdeSystem, abm4_integrate, rk4_integrate
 from gpsol.pde_engine import EvolutionProblem, evolve
@@ -81,7 +81,7 @@ def test_c02_unperturbed_motion():
     x_b = dark.default_background_probe(grid_d, 0.0)
     worst_track = 0.0
     for t_k, field in zip(traj.times, traj.fields):
-        center = dark.extract_center(ComplexField(grid_d, field), x_b)
+        center = dark.extract_center(density(field), grid_d, x_b)
         worst_track = max(worst_track, abs(center - 0.25 * t_k))
 
     grid_b = build_grid(-20.0, 20.0, 1025)

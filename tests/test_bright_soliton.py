@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gpsol.errors import ExtractionError, ParameterError, RangeError
-from gpsol.grid_field import ComplexField, build_grid, simpson
+from gpsol.grid_field import build_grid, density, simpson
 from gpsol.inhomogeneity import make_inverse_square
 from gpsol import bright_soliton as bright
 
@@ -148,6 +148,9 @@ def test_eom_matches_potential_gradient():
 def test_extract_center(grid):
     for eta, xi, zeta in ((0.5, 0.0, 7.0), (0.5, 0.25, -3.2), (0.25, 0.5, 40.0)):
         f = bright.ansatz(bright.BrightSolitonParams(eta=eta, xi=xi, zeta=zeta), grid)
-        assert bright.extract_center(f) == pytest.approx(zeta, abs=1e-6)
+        dens = density(f.values)
+        assert bright.extract_center(dens, grid) == pytest.approx(zeta, abs=1e-6)
+        work = np.empty(grid.n_points)
+        assert bright.extract_center(dens, grid, work) == bright.extract_center(dens, grid)
     with pytest.raises(ExtractionError):
-        bright.extract_center(ComplexField(grid, np.zeros(grid.n_points)))
+        bright.extract_center(np.zeros(grid.n_points), grid)

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,14 +151,29 @@ tiers = ode-full
 MODE_CONFIG = {"dark": ODE_ONLY_CONFIG, "bright": BRIGHT_CONFIG}
 
 
+# a valid override of every config key but mode, and the value it parses to
+_OVERRIDES = {
+    "t_max": ("1.0", 1.0), "C": ("0.5", 0.5), "D": ("-250", -250.0),
+    "A0": ("0.5", 0.5), "x0_0": ("3.5", 3.5), "eta0": ("0.75", 0.75),
+    "xi0": ("0.25", 0.25), "zeta0": ("-2.0", -2.0), "phi0": ("0.75", 0.75),
+    "dt_pde": ("2.5e-4", 2.5e-4), "dt_ode": ("5e-4", 5e-4),
+    "x_min": ("-160", -160.0), "x_max": ("160", 160.0), "n_points": ("2049", 2049),
+    "stepper": ("abm4", "abm4"), "tiers": ("ode-full,eom", ("ode-full", "eom")),
+    "sample_interval": ("400", 400), "out_path": ("elsewhere.csv", "elsewhere.csv"),
+}
+
+
+def _override_case(f):
+    flag = "--out" if f.name == "out_path" else "--" + f.name.replace("_", "-")
+    value, expected = _OVERRIDES[f.name]
+    return (f.metadata.get("mode", "dark"), flag, value, f.name, expected)
+
+
 @pytest.mark.parametrize("mode,flag,value,key,expected", [
-    ("dark", "--x0-0", "3.5", "x0_0", 3.5),
-    ("bright", "--zeta0", "-2.0", "zeta0", -2.0),
-    ("bright", "--phi0", "0.75", "phi0", 0.75),
-    ("dark", "--sample-interval", "400", "sample_interval", 400),
-])
+    _override_case(f) for f in dataclasses.fields(ExperimentConfig) if f.name != "mode"])
 def test_initial_state_and_cadence_overrides_reach_config(tmp_path, monkeypatch, mode,
                                                           flag, value, key, expected):
+    # one case per config field: each key has its flag, in the mode it belongs to
     seen = {}
 
     def capture(config):
@@ -164,9 +181,9 @@ def test_initial_state_and_cadence_overrides_reach_config(tmp_path, monkeypatch,
         return _canned_record(config)
 
     monkeypatch.setattr(cli, "run_experiment", capture)
+    monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path, MODE_CONFIG[mode])
-    assert cli.main(["run", "--config", str(cfg), flag, value,
-                     "--out", str(tmp_path / "x.csv")]) == 0
+    assert cli.main(["run", "--config", str(cfg), "--out", "x.csv", flag, value]) == 0
     assert getattr(seen["config"], key) == expected
 
 
@@ -181,6 +198,10 @@ def test_initial_state_and_cadence_overrides_reach_config(tmp_path, monkeypatch,
     ("dark", "--sample-interval", "2.5"),
     ("dark", "--phi0", "0.1"),        # a bright key on a dark config
     ("dark", "--dt-pde", "1e-320"),   # t_max / dt_pde overflows
+    # integers past a float's range
+    pytest.param("dark", "--n-points", "1" + "0" * 400, id="dark---n-points-1e400"),
+    pytest.param("dark", "--sample-interval", "1" + "0" * 400,
+                 id="dark---sample-interval-1e400"),
 ])
 def test_bad_override_values_exit_2(tmp_path, capsys, mode, flag, value):
     cfg = _write_config(tmp_path, MODE_CONFIG[mode])

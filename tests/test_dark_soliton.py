@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gpsol.errors import ExtractionError, ParameterError, RangeError
-from gpsol.grid_field import ComplexField, build_grid
+from gpsol.grid_field import build_grid, density
 from gpsol.inhomogeneity import make_generic, make_homogeneous, make_inverse_square
 from gpsol.ode_engine import OdeSystem, rk4_integrate
 from gpsol import dark_soliton as dark
@@ -201,25 +201,24 @@ def test_hamiltonian_flow_matches_eom():
 
 def test_extract_center_identity(grid):
     f = dark.ansatz(dark.DarkSolitonParams(A=0.0, x0=3.7), grid)
-    assert dark.extract_center(f, -120.0) == pytest.approx(3.7, abs=1e-6)
+    assert dark.extract_center(density(f.values), grid, -120.0) == pytest.approx(3.7, abs=1e-6)
     f = dark.ansatz(dark.DarkSolitonParams(A=0.5, x0=-10.0), grid)
-    assert dark.extract_center(f, 120.0) == pytest.approx(-10.0, abs=1e-4)
+    assert dark.extract_center(density(f.values), grid, 120.0) == pytest.approx(-10.0, abs=1e-4)
 
 
 def test_extract_center_background_scale_invariance(grid):
     f = dark.ansatz(dark.DarkSolitonParams(A=0.25, x0=2.0), grid)
-    ref = dark.extract_center(f, -120.0)
-    scaled = ComplexField(grid, 1.3 * f.values)
-    assert dark.extract_center(scaled, -120.0) == pytest.approx(ref, abs=1e-10)
+    ref = dark.extract_center(density(f.values), grid, -120.0)
+    scaled = density(1.3 * f.values)
+    assert dark.extract_center(scaled, grid, -120.0) == pytest.approx(ref, abs=1e-10)
 
 
 def test_extract_center_failures(grid):
-    flat = ComplexField(grid, np.ones(grid.n_points))
     with pytest.raises(ExtractionError):
-        dark.extract_center(flat, -120.0)
+        dark.extract_center(np.ones(grid.n_points), grid, -120.0)
     f = dark.ansatz(dark.DarkSolitonParams(A=0.0, x0=0.0), grid)
     with pytest.raises(RangeError):
-        dark.extract_center(f, 500.0)  # probe outside the grid
+        dark.extract_center(density(f.values), grid, 500.0)  # probe outside the grid
 
 
 def test_default_background_probe(grid):

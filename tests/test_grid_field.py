@@ -9,6 +9,7 @@ from gpsol.errors import ConfigurationError, RangeError
 from gpsol.grid_field import (
     ComplexField,
     build_grid,
+    density,
     simpson,
     window_indices,
 )
@@ -52,6 +53,17 @@ def test_field_validation():
     bad[3] = np.nan
     with pytest.raises(ConfigurationError):
         ComplexField(g, bad)
+
+
+def test_density_is_re2_plus_im2_into_kept_rows():
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=33) + 1j * rng.normal(size=33)
+    expected = u.real ** 2 + u.imag ** 2
+    assert np.array_equal(density(u), expected)
+    out = np.empty((2, 33))
+    dens = density(u, out)
+    assert np.shares_memory(dens, out[0])
+    assert np.array_equal(dens, expected)
 
 
 def test_simpson_exact_on_cubic():

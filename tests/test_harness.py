@@ -91,6 +91,8 @@ def test_parse_pairs_errors(text, message):
     {"mode": "dark", "t_max": "1", "A0": "0", "dt_ode": "0.03"},  # stride
     {"mode": "dark", "t_max": "1", "A0": "0", "dt_pde": "abc"},
     {"mode": "dark", "t_max": "1", "A0": "0", "n_points": "many"},
+    {"mode": "dark", "t_max": "1", "A0": "0", "n_points": "1" + "0" * 400},
+    {"mode": "dark", "t_max": "1", "A0": "0", "sample_interval": "1" + "0" * 400},
 ])
 def test_config_rejections(pairs):
     with pytest.raises(ConfigurationError):
@@ -112,6 +114,9 @@ def test_config_rejects_non_finite_floats(name, value):
 @pytest.mark.parametrize("name, value", [
     ("sample_interval", 2.5), ("n_points", 1025.5), ("n_points", True),
     ("C", "1"), ("t_max", "0.1"), ("dt_ode", False),
+    # past a float's range: math.isfinite would overflow on it
+    pytest.param("n_points", 10 ** 400, id="n_points-10**400"),
+    pytest.param("sample_interval", 10 ** 400, id="sample_interval-10**400"),
 ])
 def test_config_rejects_wrong_number_types(name, value):
     # without the check each was accepted, and then either ran on a value
@@ -372,6 +377,37 @@ def test_run_keeps_the_norm_drift_flag():
     assert run_experiment(default).norm_drift_warning is False
     reduced = ExperimentConfig(mode="dark", A0=0.25, t_max=0.5, tiers=("ode-full",))
     assert run_experiment(reduced).norm_drift_warning is None
+
+
+@pytest.mark.parametrize("mode", ["dark", "bright"])
+def test_field_sample_allocates_no_grid_row(mode, monkeypatch):
+    # evolve's density and norm and the harness's center and amplitude of
+    # one sample, on the default grid: what they allocate is window-length
+    # rows (dark) and views, never a grid-length row
+    peaks = []
+    real_march = pde_engine.march
+
+    def measured_march(step, rhs_into, u, t0, dt, n_steps, every, on_sample):
+        def sample(j, u):
+            tracemalloc.start()
+            try:
+                on_sample(j, u)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        real_march(step, rhs_into, u, t0, dt, n_steps, every, sample)
+
+    monkeypatch.setattr(pde_engine, "march", measured_march)
+    if mode == "dark":
+        cfg = ExperimentConfig(mode="dark", A0=0.5, t_max=0.3, tiers=("pde",))
+    else:
+        cfg = ExperimentConfig(mode="bright", eta0=0.5, xi0=0.25, t_max=0.3,
+                               tiers=("pde",))
+    rec = run_experiment(cfg)
+    assert len(peaks) == 3 and np.all(np.isfinite(rec.centers["pde"]))
+    # the first sample may fill simpson's weight cache for a window length
+    assert max(peaks[1:]) < cfg.n_points * np.dtype(np.float64).itemsize
 
 
 def test_field_memory_does_not_grow_with_t_max():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gpsol.errors import ConfigurationError, InstabilityError
 from gpsol import pde_engine
-from gpsol.grid_field import ComplexField, build_grid, simpson
+from gpsol.grid_field import ComplexField, build_grid, density, simpson
 from gpsol.inhomogeneity import make_generic, make_homogeneous, make_inverse_square
 from gpsol import harness
 from gpsol.harness import ExperimentConfig, run_experiment
@@ -235,13 +235,36 @@ def test_streamed_samples_equal_stored_snapshots(stepper):
     stored = evolve(problem, field0, 0.0, 0.08, 2e-3, 4, stepper=stepper)
     seen = []
     streamed = evolve(problem, field0, 0.0, 0.08, 2e-3, 4, stepper=stepper,
-                      on_sample=lambda j, u: seen.append((j, u.copy())))
+                      on_sample=lambda j, u, dens: seen.append((j, u.copy())))
     assert [j for j, _ in seen] == list(range(1, 11))
     assert np.array_equal(np.array([u for _, u in seen]), stored.fields[1:])
     assert streamed.fields.shape == (0, grid.n_points)
     assert np.array_equal(streamed.times, stored.times)
     assert np.array_equal(streamed.conserved, stored.conserved)
     assert streamed.norm_drift_warning == stored.norm_drift_warning
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_consumer_density_and_norm_are_bitwise(variant):
+    # the consumer's dens is bitwise u.real**2 + u.imag**2, and each
+    # conserved value is bitwise the norm of that density as the separate
+    # re^2 + im^2 pass before it computed it: times 1/g in the u frames,
+    # then Simpson
+    grid = build_grid(-15.0, 15.0, 257)
+    problem = EvolutionProblem(variant, make_inverse_square(1.0, -20.0, grid), grid,
+                               s=-1 if variant == "original-psi" else None)
+    field0 = bright.ansatz(bright.BrightSolitonParams(eta=0.5, xi=0.25, zeta=1.0), grid)
+    seen = []
+    traj = evolve(problem, field0, 0.0, 0.08, 2e-3, 4,
+                  on_sample=lambda j, u, dens: seen.append((u.copy(), dens.copy())))
+    samples = [(field0.values, None)] + seen
+    for (u, dens), conserved in zip(samples, traj.conserved):
+        expected = u.real ** 2 + u.imag ** 2
+        if dens is not None:
+            assert np.array_equal(dens, expected)
+        if variant != "original-psi":
+            expected = expected * problem._inv_g
+        assert conserved == simpson(expected, grid.dx)
 
 
 _EPS = np.finfo(np.float64).eps
@@ -354,7 +377,7 @@ def test_buffered_steps_equal_allocating_reference(variant, stepper, kind):
     # the kernel sums its stencil in another order than the reference, so
     # they agree to roundoff; the bounds are fixed from float64's epsilon
     assert np.max(np.abs(traj.fields - expected)) <= 32 * _EPS * np.max(np.abs(expected))
-    norms = np.array([pde_engine._norm(problem, f) for f in expected])
+    norms = np.array([pde_engine._norm(problem, density(f)) for f in expected])
     assert np.max(np.abs(traj.conserved - norms) / np.abs(norms)) <= 32 * _EPS
     assert np.array_equal(field0.values, values0)
     assert (np.max(np.abs(_rhs(problem, field0) - _reference_rhs(problem)(0.0, values0)))
@@ -414,10 +437,10 @@ def test_field_steps_allocate_nothing(step):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_sampled_norm_allocates_no_array(variant):
-    # evolve hands _norm its two density rows once per run; what a call
-    # still allocates is simpson's einsum iterator (about 1.3 KB) and two
-    # views, the same at every grid size, where one density row at 1025
-    # points is 8 KB
+    # evolve keeps the density and a scratch row for the run; what a
+    # sampled density and norm still allocate is simpson's einsum iterator
+    # (about 1.3 KB) and a few views, the same at every grid size, where
+    # one density row at 1025 points is 8 KB
     peaks = []
     for n_points in (1025, 4097):
         grid = build_grid(-150.0, 150.0, n_points)
@@ -425,17 +448,17 @@ def test_sampled_norm_allocates_no_array(variant):
                                    s=-1 if variant == "original-psi" else None)
         u = bright.ansatz(bright.BrightSolitonParams(eta=0.5, xi=0.25, zeta=1.0), grid).values
         buf = np.empty((2, n_points))
-        norm = pde_engine._norm(problem, u, buf)
+        norm = pde_engine._norm(problem, density(u, buf), buf[1])
         tracemalloc.start()
         try:
-            pde_engine._norm(problem, u, buf)
+            pde_engine._norm(problem, density(u, buf), buf[1])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         dens = u.real ** 2 + u.imag ** 2
+        assert norm == pde_engine._norm(problem, dens)
         if variant != "original-psi":
             dens = dens / problem.profile.g(grid.x)
-        assert norm == pde_engine._norm(problem, u)
         assert norm == pytest.approx(simpson(dens, grid.dx), rel=1e-14)
     assert max(peaks) < 2048
 
