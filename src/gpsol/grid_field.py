@@ -52,6 +52,9 @@ class SpatialGrid:
             raise ConfigurationError(
                 f"grid needs an odd point count, got {self.n_points}"
             )
+        # a complex row on the grid must fit numpy's largest array
+        if self.n_points > np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize:
+            raise ConfigurationError(f"grid of {self.n_points} points is too large for an array")
 
     @property
     def dx(self) -> float:

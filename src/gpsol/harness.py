@@ -21,6 +21,9 @@ amplitude off the density evolve hands it, and allocates no grid-length row.
 The fields of ExperimentConfig are the one table of config keys: each
 annotation picks the value's parser, a mode-specific key names its mode in
 the field's metadata, and the CLI derives one override flag per field.
+However a config is built, each mode rule has one owner: the metadata
+says which keys a mode takes and requires, the soliton _SOLITON builds
+checks its range (and starts the pde tier), and _REDUCED lists the tiers.
 
 The reduced tiers (all but pde) are rows of one table, _REDUCED: per mode
 and tier, the initial state, a right-hand side returning a tuple, and the
@@ -46,7 +49,7 @@ import numpy as np
 
 from . import bright_soliton as bright
 from . import dark_soliton as dark
-from .errors import ConfigurationError, RangeError
+from .errors import ConfigurationError, ParameterError, RangeError
 from .grid_field import SpatialGrid, build_grid, density, simpson
 from .inhomogeneity import InhomogeneityProfile, make_inverse_square
 from .ode_engine import OdeSystem, abm4_integrate, step_count
@@ -125,50 +128,45 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigurationError(f"unknown mode {self.mode!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             _, number, noun = _ANNOTATIONS[f.type]
-            if number is None or (value is None and f.type.endswith("None")):
-                continue
-            if isinstance(value, bool) or not isinstance(value, number):
-                raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
-            # integer keys are counts for numpy, whose indices have 64 bits;
-            # math.isfinite would overflow on one past a float's range
-            if number is numbers.Integral:
-                if not -2 ** 63 < value < 2 ** 63:
-                    raise ConfigurationError(f"{f.name} must be an integer below 2**63")
-            elif not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
+            if value is None and f.type.endswith("None"):
+                # a key of this mode without a default is required
+                if f.metadata.get("mode") == self.mode:
+                    raise ConfigurationError(f"{self.mode} mode requires {f.name}")
+            elif number is not None:
+                if isinstance(value, bool) or not isinstance(value, number):
+                    raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
+                # integer keys are counts for numpy, whose indices have 64 bits;
+                # math.isfinite would overflow on one past a float's range
+                if number is numbers.Integral:
+                    if not -2 ** 63 < value < 2 ** 63:
+                        raise ConfigurationError(f"{f.name} must be an integer below 2**63")
+                elif not math.isfinite(value):
+                    raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
+            # a key of the other mode keeps its default
+            if f.metadata.get("mode", self.mode) != self.mode and value != f.default:
+                raise ConfigurationError(f"{f.name} is not a key of mode {self.mode}")
         if self.stepper not in STEPPERS:
             raise ConfigurationError(f"unknown stepper {self.stepper!r}")
         if not self.tiers:
             raise ConfigurationError("at least one tier is required")
         object.__setattr__(self, "tiers", tuple(self.tiers))
+        # a tier of this mode is pde or a row of its reduced table
         for tier in self.tiers:
-            if tier not in TIERS:
-                raise ConfigurationError(f"unknown tier {tier!r}")
+            if tier not in ("pde", *_REDUCED[self.mode]):
+                raise ConfigurationError(f"unknown tier {tier!r} for mode {self.mode}")
         if len(set(self.tiers)) != len(self.tiers):
             raise ConfigurationError("duplicate tier requested")
-        if self.mode == "dark":
-            if self.A0 is None:
-                raise ConfigurationError("dark mode requires A0")
-            if not abs(self.A0) < 1.0:
-                raise ConfigurationError("A0 must satisfy |A0| < 1")
-            if self.eta0 is not None or self.xi0 is not None:
-                raise ConfigurationError("eta0/xi0 are bright-mode keys")
-            start = self.x0_0
-        else:
-            if self.eta0 is None or self.xi0 is None:
-                raise ConfigurationError("bright mode requires eta0 and xi0")
-            if not self.eta0 > 0.0:
-                raise ConfigurationError("eta0 must be positive")
-            if self.A0 is not None:
-                raise ConfigurationError("A0 is a dark-mode key")
-            if "eom-a" in self.tiers:
-                raise ConfigurationError("tier eom-a exists only in dark mode")
-            start = self.zeta0
+        # the soliton checks its own range
+        try:
+            _SOLITON[self.mode](self)
+        except ParameterError as err:
+            raise ConfigurationError(str(err)) from None
+        start = self.x0_0 if self.mode == "dark" else self.zeta0
         # the grid and the profile validate themselves; then the soliton
         # must start away from the edges
         make_inverse_square(self.C, self.D,
@@ -196,6 +194,14 @@ class ExperimentConfig:
     @property
     def n_samples(self) -> int:
         return step_count(0.0, self.t_max, self.dt_pde) // self.sample_interval + 1
+
+
+# per mode, the soliton a config starts from; its type checks the range
+_SOLITON = {
+    "dark": lambda c: dark.DarkSolitonParams(A=c.A0, x0=c.x0_0),
+    "bright": lambda c: bright.BrightSolitonParams(eta=c.eta0, xi=c.xi0,
+                                                   zeta=c.zeta0, phi=c.phi0),
+}
 
 
 def _parse_pairs(source: str) -> dict[str, str]:
@@ -401,15 +407,13 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     conserved = None
     drift_warning = None
     if "pde" in config.tiers:
+        soliton = _SOLITON[config.mode](config)
         if config.mode == "dark":
-            params = dark.DarkSolitonParams(A=config.A0, x0=config.x0_0)
-            field0 = dark.ansatz(params, grid)
+            field0 = dark.ansatz(soliton, grid)
             variant = "transformed-dark-rotated"
             probe = dark.default_background_probe(grid, config.x0_0)
         else:
-            params = bright.BrightSolitonParams(eta=config.eta0, xi=config.xi0,
-                                                zeta=config.zeta0, phi=config.phi0)
-            field0 = bright.ansatz(params, grid)
+            field0 = bright.ansatz(soliton, grid)
             variant = "transformed-bright"
         problem = EvolutionProblem(variant, profile, grid)
         pde_centers = np.empty(n_samples)
@@ -458,9 +462,9 @@ _PRESETS = {
                        t_max=100.0, tiers=("pde", "ode-full")),
     "dark-compare": dict(mode="dark", sweep=("A0", (0.0, 0.5)),
                          t_max=100.0, tiers=("pde", "ode-full", "eom", "eom-a")),
-    "bright-accel": dict(mode="bright", sweep=("xi0", (0.0, 0.25, 0.5)),
+    "bright-accel": dict(mode="bright", sweep=("xi0", (0.0, 0.25, 0.5)), eta0=0.5,
                          t_max=50.0, tiers=("pde", "ode-full")),
-    "bright-compare": dict(mode="bright", sweep=("xi0", (0.0, 0.5)),
+    "bright-compare": dict(mode="bright", sweep=("xi0", (0.0, 0.5)), eta0=0.5,
                            t_max=50.0, tiers=("pde", "ode-full", "eom")),
 }
 
@@ -473,17 +477,9 @@ def scenario(name: str) -> list[ExperimentConfig]:
         raise ConfigurationError(
             f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)}"
         )
-    preset = _PRESETS[name]
-    key, values = preset["sweep"]
-    configs = []
-    for value in values:
-        kwargs = {"mode": preset["mode"], "t_max": preset["t_max"],
-                  "tiers": preset["tiers"], key: value}
-        if preset["mode"] == "bright":
-            kwargs.setdefault("eta0", 0.5)
-            kwargs.setdefault("xi0", 0.0)
-        configs.append(ExperimentConfig(**kwargs))
-    return configs
+    fixed = dict(_PRESETS[name])
+    key, values = fixed.pop("sweep")
+    return [ExperimentConfig(**fixed, **{key: value}) for value in values]
 
 
 def _column(prefix: str, tier: str) -> str:

@@ -73,6 +73,7 @@ VARIANTS = ("original-psi", "transformed-bright", "transformed-dark-rotated")
 # dt <= STABILITY_FACTORS[stepper] * dx^2; see the module docstring
 STABILITY_FACTORS = {"rk4": 0.4, "abm4": 0.34}
 STEPPERS = tuple(STABILITY_FACTORS)
+NORM_DRIFT_TOL = 1e-6  # relative drift of the norm past which evolve warns
 
 _VARIANT_S = {"transformed-bright": -1, "transformed-dark-rotated": +1}
 
@@ -238,7 +239,6 @@ def evolve(
     dt: float,
     sample_every: int,
     stepper: str = "rk4",
-    norm_drift_tol: float = 1e-6,
     on_sample: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> PdeTrajectory:
     """March the field from t0 to t_end, sampling every sample_every steps.
@@ -246,7 +246,7 @@ def evolve(
     The step count (t_end - t0)/dt must be an integer multiple of
     sample_every.  Non-finite samples abort with InstabilityError carrying
     the detection time; a relative drift of the conserved norm beyond
-    norm_drift_tol sets the trajectory's warning flag.
+    NORM_DRIFT_TOL sets the trajectory's warning flag.
 
     Without on_sample every sample, the initial one included, is stored in
     the trajectory's fields.  With it, on_sample(j, u, dens) receives
@@ -298,5 +298,5 @@ def evolve(
         fields=fields,
         conserved=conserved,
         conserved_name="N_psi" if problem.variant == "original-psi" else "N_w",
-        norm_drift_warning=bool(drift > norm_drift_tol),
+        norm_drift_warning=bool(drift > NORM_DRIFT_TOL),
     )

@@ -110,9 +110,9 @@ def _check_amplitude_invariant():
 
     traj = rk4_integrate(OdeSystem(3, rhs), np.array([0.5, 0.25, 0.0]),
                          0.0, 25.0, 1e-3)
-    inv = traj.states[:, 0] * (-200.0 + traj.states[:, 2]) ** 2
-    drift = np.max(np.abs(inv - inv[0])) / abs(inv[0])
-    return drift <= 1e-10, f"eta*(C zeta+D)^2 relative drift {drift:.2e}"
+    pinned = bright.eta_closed_form(traj.states[:, 2], 0.5, 0.0, 1.0, -200.0)
+    drift = np.max(np.abs(traj.states[:, 0] - pinned)) / 0.5
+    return drift <= 1e-10, f"eta against eta_closed_form relative drift {drift:.2e}"
 
 
 def _check_dark_energy():

@@ -202,6 +202,10 @@ def test_initial_state_and_cadence_overrides_reach_config(tmp_path, monkeypatch,
     pytest.param("dark", "--n-points", "1" + "0" * 400, id="dark---n-points-1e400"),
     pytest.param("dark", "--sample-interval", "1" + "0" * 400,
                  id="dark---sample-interval-1e400"),
+    # below 2**63, but a complex row on the grid is past numpy's largest
+    # array (the dark config runs ode-full only: with the pde tier the
+    # stability bound would reject it first)
+    pytest.param("dark", "--n-points", "4611686018427387905", id="dark---n-points-2**62+1"),
 ])
 def test_bad_override_values_exit_2(tmp_path, capsys, mode, flag, value):
     cfg = _write_config(tmp_path, MODE_CONFIG[mode])

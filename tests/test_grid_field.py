@@ -37,6 +37,7 @@ def test_grid_x_is_readonly():
     (1.0, 0.0, 17),      # reversed bounds
     (0.0, 1.0, 16),      # even point count
     (0.0, 1.0, 15),      # too few points
+    (0.0, 1.0, 2 ** 62 + 1),  # a complex row past numpy's largest array
 ])
 def test_grid_rejects_bad_parameters(args):
     with pytest.raises(ConfigurationError):

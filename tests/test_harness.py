@@ -99,6 +99,17 @@ def test_config_rejections(pairs):
         config_from_mapping(pairs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(mode="dark", A0=0.0, zeta0=7.0),
+    dict(mode="dark", A0=0.0, phi0=2.0),
+    dict(mode="bright", eta0=0.5, xi0=0.0, x0_0=5.0),
+], ids=["dark-zeta0", "dark-phi0", "bright-x0_0"])
+def test_python_config_rejects_other_mode_keys(kwargs):
+    # built in Python, a key of the other mode is rejected as in a file
+    with pytest.raises(ConfigurationError, match="is not a key of mode"):
+        ExperimentConfig(t_max=1.0, **kwargs)
+
+
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if "float" in str(f.type)]
 
 
@@ -148,16 +159,21 @@ def test_scenario_presets():
 
     compare = scenario("dark-compare")
     assert [c.A0 for c in compare] == [0.0, 0.5]
-    assert compare[0].tiers == ("pde", "ode-full", "eom", "eom-a")
+    assert all(c.tiers == ("pde", "ode-full", "eom", "eom-a") for c in compare)
 
     bright_accel = scenario("bright-accel")
     assert [c.xi0 for c in bright_accel] == [0.0, 0.25, 0.5]
-    assert all(c.eta0 == 0.5 for c in bright_accel)
     assert all(c.t_max == 50.0 for c in bright_accel)
 
     bright_compare = scenario("bright-compare")
     assert [c.xi0 for c in bright_compare] == [0.0, 0.5]
-    assert bright_compare[0].tiers == ("pde", "ode-full", "eom")
+    assert all(c.tiers == ("pde", "ode-full", "eom") for c in bright_compare)
+    # every other key keeps its default, but bright's fixed amplitude
+    for configs in (dark_accel, compare, bright_accel, bright_compare):
+        for c in configs:
+            assert (c.eta0 == 0.5) == (c.mode == "bright")
+            assert (c.x0_0, c.zeta0, c.phi0) == (0.0, 0.0, 0.0)
+            assert (c.n_points, c.dt_pde, c.stepper) == (4097, 5e-4, "rk4")
 
     with pytest.raises(ConfigurationError):
         scenario("dark-sprint")

@@ -219,10 +219,11 @@ def test_instability_is_reported():
     assert info.value.t_fail > 0.0
 
 
-def test_field_at_and_drift_flag():
+def test_field_at_and_drift_flag(monkeypatch):
     grid, problem = _dark_setup(15.0, 641)
     field0 = dark.ansatz(dark.DarkSolitonParams(A=0.0, x0=0.0), grid)
-    traj = evolve(problem, field0, 0.0, 0.01, 1e-4, 50, norm_drift_tol=-1.0)
+    monkeypatch.setattr(pde_engine, "NORM_DRIFT_TOL", -1.0)
+    traj = evolve(problem, field0, 0.0, 0.01, 1e-4, 50)
     assert traj.norm_drift_warning is True  # impossible tolerance must trip
 
 

@@ -1,7 +1,9 @@
 """Dead names and unbounded caches in the package source.
 
 A name counts as read when some module of the package loads it, as a bare
-name or as an attribute, or exports it through __all__.  The scan works by
+name or as an attribute, or when the package's __init__ exports it through
+__all__.  A submodule's own __all__ does not count: a public name that no
+module reads and the package does not export is dead.  The scan works by
 name, not by module, so it can miss a dead name that shares its spelling
 with a live one; it never flags a live one.
 
@@ -31,14 +33,14 @@ def _exports(tree):
     return set()
 
 
-def _reads(tree):
+def _reads(stem, tree):
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    return names | _exports(tree)
+    return (names | _exports(tree)) if stem == "__init__" else names
 
 
 def _imported(tree):
@@ -65,10 +67,10 @@ def _module_globals(tree):
 
 def dead_names(modules):
     """'module.name' for every unread import and every unread module global."""
-    everywhere = set().union(*(_reads(tree) for tree in modules.values()))
+    everywhere = set().union(*(_reads(stem, tree) for stem, tree in modules.items()))
     dead = []
     for stem, tree in modules.items():
-        local = _reads(tree)
+        local = _reads(stem, tree)
         dead += [f"{stem}.{name}" for name in _imported(tree) if name not in local]
         dead += [f"{stem}.{name}" for name in _module_globals(tree)
                  if not name.startswith("__") and name not in everywhere]
@@ -83,6 +85,10 @@ def test_scan_flags_both_kinds_of_dead_name():
     modules = {"a": ast.parse("import os\nfrom .b import f\n__all__ = ['g']\n"
                               "def g():\n    return f()\n"),
                "b": ast.parse("import sys\nKINDS = (1, 2)\ndef f():\n    return 1\n")}
+    # g is exported only by its own module's __all__
+    assert dead_names(modules) == ["a.g", "a.os", "b.KINDS", "b.sys"]
+    # re-exported by the package, g is live
+    modules["__init__"] = ast.parse("from .a import g\n__all__ = ['g']\n")
     assert dead_names(modules) == ["a.os", "b.KINDS", "b.sys"]
 
 
