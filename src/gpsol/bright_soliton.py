@@ -7,8 +7,9 @@ time axis.  The field ansatz is
     u = 2 i eta exp(-2 i xi x - i Phi) sech(2 eta (x - zeta)),
 
 with amplitude eta, velocity parameter xi (lab velocity -2 xi), center
-zeta and phase Phi.  The phase equation is integrated for logging only;
-no other equation reads Phi back.
+zeta and global phase Phi.  The reduced tiers march (eta, xi, zeta) alone:
+the phase equation decouples from them, and no recorded quantity depends
+on a global phase, so Phi only sets the field ansatz's initial condition.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ WINDOW_HALFWIDTH_FACTOR = 17.0
 
 @dataclass(frozen=True)
 class BrightSolitonParams:
-    """Amplitude eta > 0, velocity parameter xi, center zeta, phase phi."""
+    """Amplitude eta > 0, velocity parameter xi, center zeta, ansatz phase phi."""
 
     eta: float
     xi: float
@@ -60,11 +61,11 @@ def ansatz(params: BrightSolitonParams, grid: SpatialGrid) -> ComplexField:
 
 
 def rhs_full(params: BrightSolitonParams, profile: InhomogeneityProfile,
-             grid: SpatialGrid) -> tuple[float, float, float, float]:
-    """(d eta, d xi, d zeta, d phi)/d tau from the adiabatic integral equations.
+             grid: SpatialGrid) -> tuple[float, float, float]:
+    """(d eta, d xi, d zeta)/d tau from the adiabatic integral equations.
 
-    The phase integrand carries a bare factor of x (not x - zeta), matching
-    the adiabatic expansion it was derived in; it feeds nothing downstream.
+    Three integrals over the soliton's window, and a fourth, the V_eff
+    term of d xi, where the profile's potential does not vanish.
     """
     eta, xi, zeta = params.eta, params.xi, params.zeta
     x, adv, pot = window_coefficients(profile, grid, zeta,
@@ -73,22 +74,17 @@ def rhs_full(params: BrightSolitonParams, profile: InhomogeneityProfile,
     z = 2.0 * eta * (x - zeta)
     sech2 = 1.0 / np.cosh(z) ** 2
     tanh = np.tanh(z)
-    adv_sech2 = adv * sech2
-    phase = 1.0 - 2.0 * eta * x * tanh
-    rows = [adv_sech2, adv * tanh * tanh * sech2, adv * (x - zeta) * sech2,
-            adv_sech2 * tanh * phase]
+    rows = [adv * sech2, adv * tanh * tanh * sech2, adv * (x - zeta) * sech2]
     if pot is not None:
-        rows += [pot * tanh * sech2, pot * sech2 * phase]
+        rows.append(pot * tanh * sech2)
     integrals = simpson(np.array(rows), dx)
 
     d_eta = 8.0 * eta * eta * xi * integrals[0]
     d_xi = 8.0 * eta ** 3 * integrals[1]
     d_zeta = -4.0 * xi + 8.0 * eta * xi * integrals[2]
-    d_phi = 4.0 * (xi * xi - eta * eta) + 8.0 * eta * eta * integrals[3]
     if pot is not None:
-        d_xi -= 2.0 * eta * eta * integrals[4]
-        d_phi -= 2.0 * eta * integrals[5]
-    return float(d_eta), float(d_xi), float(d_zeta), float(d_phi)
+        d_xi -= 2.0 * eta * eta * integrals[3]
+    return float(d_eta), float(d_xi), float(d_zeta)
 
 
 def rhs_taylor(params: BrightSolitonParams, profile: InhomogeneityProfile) -> tuple[float, float, float]:

@@ -27,7 +27,9 @@ checks its range (and starts the pde tier), and _REDUCED lists the tiers.
 
 The reduced tiers (all but pde) are rows of one table, _REDUCED: per mode
 and tier, the initial state, a right-hand side returning a tuple, and the
-state columns of the center and the amplitude.  Each mode has one time
+state columns of the center and the amplitude.  ode-full and ode-taylor
+march the same state, the soliton's parameters: (A, x0) for dark and
+(eta, xi, zeta) for bright.  Each mode has one time
 frame: lab time for dark, tau = t/2 for bright, where the parameter ODEs
 live and the Newtonian eom is written as d/dtau = 2 d/dt.  All requested
 tiers of a run march together as one stacked system in a single ABM4 call,
@@ -91,14 +93,15 @@ def _number(cast, noun: str):
 
 
 # per annotation of a config field: the parser of its key=value text, and
-# the number the value must be, if any (bool counts as neither)
+# the type the value must have (a bool has none of them)
 _FLOAT = (_number(float, "a number"), numbers.Real, "a real number")
-_TEXT = (lambda key, value: value, None, None)
+_TEXT = (lambda key, value: value, str, "a string")
 _ANNOTATIONS = {
     "int": (_number(int, "an integer"), numbers.Integral, "an integer"),
     "float": _FLOAT, "float | None": _FLOAT, "str": _TEXT, "str | None": _TEXT,
+    # each name is then checked against the mode's tiers
     "tuple[str, ...]": (lambda key, value: tuple(filter(None, map(str.strip, value.split(",")))),
-                        None, None),
+                        (tuple, list), "a tuple or list of strings"),
 }
 _DARK, _BRIGHT = {"mode": "dark"}, {"mode": "bright"}
 
@@ -132,20 +135,23 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         for f in fields(self):
             value = getattr(self, f.name)
-            _, number, noun = _ANNOTATIONS[f.type]
+            _, kind, noun = _ANNOTATIONS[f.type]
             if value is None and f.type.endswith("None"):
                 # a key of this mode without a default is required
                 if f.metadata.get("mode") == self.mode:
                     raise ConfigurationError(f"{self.mode} mode requires {f.name}")
-            elif number is not None:
-                if isinstance(value, bool) or not isinstance(value, number):
-                    raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
-                # integer keys are counts for numpy, whose indices have 64 bits;
-                # math.isfinite would overflow on one past a float's range
-                if number is numbers.Integral:
-                    if not -2 ** 63 < value < 2 ** 63:
-                        raise ConfigurationError(f"{f.name} must be an integer below 2**63")
-                elif not math.isfinite(value):
+            elif isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
+            # integer keys are counts for numpy, whose indices have 64 bits
+            elif kind is numbers.Integral:
+                if not -2 ** 63 < value < 2 ** 63:
+                    raise ConfigurationError(f"{f.name} must be an integer below 2**63")
+            elif kind is numbers.Real:
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int past a float's range
+                    finite = False
+                if not finite:
                     raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
             # a key of the other mode keeps its default
             if f.metadata.get("mode", self.mode) != self.mode and value != f.default:
@@ -274,14 +280,22 @@ class RunRecord:
                 raise ConfigurationError(f"series {name!r} is off the time axis")
 
 
-def _dark_full(y, config, profile, grid):
-    return dark.rhs_full(dark.DarkSolitonParams(A=float(y[0]), x0=float(y[1])),
-                         profile, grid)
+def _state_params(y, config):
+    """The soliton module and the parameters a state of ode-full or ode-taylor holds."""
+    if config.mode == "dark":
+        return dark, dark.DarkSolitonParams(A=float(y[0]), x0=float(y[1]))
+    return bright, bright.BrightSolitonParams(eta=float(y[0]), xi=float(y[1]),
+                                              zeta=float(y[2]))
 
 
-def _dark_taylor(y, config, profile, grid):
-    return dark.rhs_taylor(dark.DarkSolitonParams(A=float(y[0]), x0=float(y[1])),
-                           profile)
+def _full(y, config, profile, grid):
+    module, params = _state_params(y, config)
+    return module.rhs_full(params, profile, grid)
+
+
+def _taylor(y, config, profile, grid):
+    module, params = _state_params(y, config)
+    return module.rhs_taylor(params, profile)
 
 
 def _dark_eom(y, config, profile, grid):
@@ -290,18 +304,6 @@ def _dark_eom(y, config, profile, grid):
 
 def _dark_eom_a(y, config, profile, grid):
     return y[1], dark.eom_a_rhs(y[0], config.C, config.D)
-
-
-def _bright_full(y, config, profile, grid):
-    params = bright.BrightSolitonParams(eta=float(y[0]), xi=float(y[1]),
-                                        zeta=float(y[2]), phi=float(y[3]))
-    return bright.rhs_full(params, profile, grid)
-
-
-def _bright_taylor(y, config, profile, grid):
-    params = bright.BrightSolitonParams(eta=float(y[0]), xi=float(y[1]),
-                                        zeta=float(y[2]))
-    return bright.rhs_taylor(params, profile)
 
 
 def _bright_eom(y, config, profile, grid):
@@ -328,14 +330,14 @@ class _Reduced:
 # per mode, in order of preference for the amplitude series
 _REDUCED = {
     "dark": {
-        "ode-full": _Reduced(lambda c: (c.A0, c.x0_0), _dark_full, 1, 0),
-        "ode-taylor": _Reduced(lambda c: (c.A0, c.x0_0), _dark_taylor, 1, 0),
+        "ode-full": _Reduced(lambda c: (c.A0, c.x0_0), _full, 1, 0),
+        "ode-taylor": _Reduced(lambda c: (c.A0, c.x0_0), _taylor, 1, 0),
         "eom": _Reduced(lambda c: (c.x0_0, c.A0), _dark_eom, 0),
         "eom-a": _Reduced(lambda c: (c.x0_0, c.A0), _dark_eom_a, 0),
     },
     "bright": {
-        "ode-full": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0, c.phi0), _bright_full, 2, 0),
-        "ode-taylor": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0), _bright_taylor, 2, 0),
+        "ode-full": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0), _full, 2, 0),
+        "ode-taylor": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0), _taylor, 2, 0),
         "eom": _Reduced(lambda c: (c.zeta0, -2.0 * c.xi0), _bright_eom, 0),
     },
 }

@@ -207,7 +207,6 @@ class PdeTrajectory:
     times: np.ndarray
     fields: np.ndarray
     conserved: np.ndarray
-    conserved_name: str
     norm_drift_warning: bool = False
 
     def __post_init__(self):
@@ -297,6 +296,5 @@ def evolve(
         times=times,
         fields=fields,
         conserved=conserved,
-        conserved_name="N_psi" if problem.variant == "original-psi" else "N_w",
         norm_drift_warning=bool(drift > NORM_DRIFT_TOL),
     )

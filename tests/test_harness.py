@@ -113,7 +113,9 @@ def test_python_config_rejects_other_mode_keys(kwargs):
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if "float" in str(f.type)]
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                   # an int that math.isfinite would overflow on
+                                   pytest.param(10 ** 400, id="10**400")])
 @pytest.mark.parametrize("name", _FLOAT_FIELDS)
 def test_config_rejects_non_finite_floats(name, value):
     # rejected on construction, whatever the mode, not as a traceback or
@@ -128,10 +130,12 @@ def test_config_rejects_non_finite_floats(name, value):
     # past a float's range: math.isfinite would overflow on it
     pytest.param("n_points", 10 ** 400, id="n_points-10**400"),
     pytest.param("sample_interval", 10 ** 400, id="sample_interval-10**400"),
+    # a number where text belongs
+    ("tiers", 5), ("out_path", 5),
 ])
 def test_config_rejects_wrong_number_types(name, value):
     # without the check each was accepted, and then either ran on a value
-    # the config does not report or ended in a TypeError mid-run
+    # the config does not report or ended in a TypeError
     kwargs = {"mode": "dark", "A0": 0.0, "t_max": 0.05, "n_points": 1025,
               "sample_interval": 20, "tiers": ("pde", "eom"), name: value}
     with pytest.raises(ConfigurationError, match=f"{name} must be an? "):

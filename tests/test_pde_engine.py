@@ -109,10 +109,15 @@ def test_conserved_quantity_names():
     grid = build_grid(-20.0, 20.0, 641)
     profile = make_inverse_square(1.0, -200.0, grid)
     field = bright.ansatz(bright.BrightSolitonParams(eta=0.5, xi=0.0, zeta=0.0), grid)
+    # the variant names the norm: N_w = integral |u|^2 / g in the u frames,
+    # N_psi = integral |Psi|^2 in the psi frame
+    dens = density(field.values)
     u_problem = EvolutionProblem("transformed-bright", profile, grid)
     psi_problem = EvolutionProblem("original-psi", profile, grid, s=-1)
-    assert evolve(u_problem, field, 0.0, 1e-3, 1e-3, 1).conserved_name == "N_w"
-    assert evolve(psi_problem, field, 0.0, 1e-3, 1e-3, 1).conserved_name == "N_psi"
+    assert evolve(u_problem, field, 0.0, 1e-3, 1e-3, 1).conserved[0] == pytest.approx(
+        simpson(dens / profile.g(grid.x), grid.dx), rel=1e-14)
+    assert evolve(psi_problem, field, 0.0, 1e-3, 1e-3, 1).conserved[0] == pytest.approx(
+        simpson(dens, grid.dx), rel=1e-14)
     # homogeneous profile: N_w equals the plain density integral (g = 1)
     hom = EvolutionProblem("transformed-bright", make_homogeneous(1.0), grid)
     n_w = evolve(hom, field, 0.0, 1e-3, 1e-3, 1).conserved[0]
@@ -183,7 +188,6 @@ def test_homogeneous_bright_density_is_static(stepper):
     drift = np.max(np.abs(traj.conserved - traj.conserved[0])) / traj.conserved[0]
     assert drift < 1e-10
     assert traj.norm_drift_warning is False
-    assert traj.conserved_name == "N_w"
 
 
 def test_evolve_keeps_boundary_samples_fixed():

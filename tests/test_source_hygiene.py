@@ -3,9 +3,12 @@
 A name counts as read when some module of the package loads it, as a bare
 name or as an attribute, or when the package's __init__ exports it through
 __all__.  A submodule's own __all__ does not count: a public name that no
-module reads and the package does not export is dead.  The scan works by
-name, not by module, so it can miss a dead name that shares its spelling
-with a live one; it never flags a live one.
+module reads and the package does not export is dead.  A field of a
+package dataclass is dead unless some module loads it as an attribute or
+names it in a string constant inside a function that calls getattr, as
+write_csv does for its series; tests do not count as readers.  The scan
+works by name, not by module, so it can miss a dead name that shares its
+spelling with a live one; it never flags a live one.
 
 A cache without a size bound (functools.cache, lru_cache(maxsize=None))
 keeps every key it has seen, so a long run's memory would grow with its
@@ -65,15 +68,40 @@ def _module_globals(tree):
             yield node.target.id
 
 
+def _field_reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr"
+                for call in ast.walk(node)):
+            yield from (const.value for const in ast.walk(node)
+                        if isinstance(const, ast.Constant) and isinstance(const.value, str))
+
+
+def _dataclass_fields(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
 def dead_names(modules):
-    """'module.name' for every unread import and every unread module global."""
+    """'module.name' for every unread import and module global, and
+    'module.Class.field' for every unread dataclass field."""
     everywhere = set().union(*(_reads(stem, tree) for stem, tree in modules.items()))
+    fields_read = set().union(*(_field_reads(tree) for tree in modules.values()))
     dead = []
     for stem, tree in modules.items():
         local = _reads(stem, tree)
         dead += [f"{stem}.{name}" for name in _imported(tree) if name not in local]
         dead += [f"{stem}.{name}" for name in _module_globals(tree)
                  if not name.startswith("__") and name not in everywhere]
+        dead += [f"{stem}.{cls}.{name}" for cls, name in _dataclass_fields(tree)
+                 if name not in fields_read]
     return sorted(dead)
 
 
@@ -90,6 +118,20 @@ def test_scan_flags_both_kinds_of_dead_name():
     # re-exported by the package, g is live
     modules["__init__"] = ast.parse("from .a import g\n__all__ = ['g']\n")
     assert dead_names(modules) == ["a.os", "b.KINDS", "b.sys"]
+
+
+def test_scan_flags_unread_dataclass_fields():
+    modules = {"a": ast.parse("from dataclasses import dataclass\n"
+                              "@dataclass(frozen=True)\nclass P:\n"
+                              "    x: float\n    y: float\n    z: float\n    w: float = 0.0\n"
+                              "class Q:\n    v: int\n"
+                              "def f(p):\n    p.w = 1.0\n    return p.x\n"
+                              "def g(p):\n    return [getattr(p, n) for n in ('y',)]\n"
+                              "def h(p):\n    return 'z'\n"),
+               "b": ast.parse("from .a import P, Q, f, g, h\nprint(P, Q, f, g, h)\n")}
+    # x is loaded, y named for getattr; z is named where no getattr runs,
+    # w only stored, and Q is no dataclass
+    assert dead_names(modules) == ["a.P.w", "a.P.z"]
 
 
 def _is_unbounded_cache(node):
