@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtractionError, ParameterError, RangeError
+from .errors import ConfigurationError, ExtractionError, ParameterError, RangeError
 from .grid_field import ComplexField, SpatialGrid, simpson
 from .inhomogeneity import InhomogeneityProfile, window_coefficients
 
@@ -88,7 +88,14 @@ def rhs_full(params: BrightSolitonParams, profile: InhomogeneityProfile,
 
 
 def rhs_taylor(params: BrightSolitonParams, profile: InhomogeneityProfile) -> tuple[float, float, float]:
-    """(d eta, d xi, d zeta)/d tau with the profile frozen at the center."""
+    """(d eta, d xi, d zeta)/d tau with the profile frozen at the center.
+
+    Like the dark tier, the expansion drops the V_eff term, so it takes
+    only the closed form g = 1/(D + C x)^2; a generic profile raises
+    ConfigurationError.
+    """
+    if profile.C is None:
+        raise ConfigurationError("the Taylor tier needs the closed-form profile")
     eta, xi, zeta = params.eta, params.xi, params.zeta
     if not profile.contains(zeta, zeta):
         raise RangeError(f"center {zeta} outside profile validity")

@@ -7,12 +7,13 @@ been removed.  A is the depth/velocity parameter, x0 the center.
 Reduction hierarchy, from most to least faithful:
 
   rhs_full    adiabatic ODEs with the profile under the integrals
-  rhs_taylor  same after expanding the profile around the center
+  rhs_taylor  same after expanding the closed-form profile around the center
   eom_rhs     Newtonian equation for the center with velocity factor
   eom_a_rhs   small-velocity form of the above
 
 The slow integrals are evaluated by Simpson quadrature over the window
-|x - x0| <= 17/B, outside which sech^2 drops below 1e-14.
+|x - x0| <= 17/B, outside which sech^2 drops below 1e-14; the extractor
+cuts its window by the same grid_field.window_indices.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtractionError, ParameterError, RangeError
-from .grid_field import ComplexField, SpatialGrid, simpson
+from .errors import ConfigurationError, ExtractionError, ParameterError, RangeError
+from .grid_field import ComplexField, SpatialGrid, simpson, window_indices
 from .inhomogeneity import InhomogeneityProfile, window_coefficients
 
 __all__ = [
@@ -103,23 +104,19 @@ def rhs_full(params: DarkSolitonParams, profile: InhomogeneityProfile,
 def rhs_taylor(params: DarkSolitonParams, profile: InhomogeneityProfile) -> tuple[float, float]:
     """(dA/dt, dx0/dt) with the profile expanded around the center.
 
-    For the closed form g = 1/(D + C x)^2 (homogeneous included, C = 0)
-    the center equation collapses to dx0/dt = A exactly; a generic profile
-    keeps the curvature correction of the general expansion.
+    The expansion drops the V_eff term, which vanishes only where 1/sqrt(g)
+    is linear, so it takes only the closed form g = 1/(D + C x)^2
+    (homogeneous included, C = 0), where the center equation collapses to
+    dx0/dt = A exactly.  A generic profile raises ConfigurationError.
     """
+    if profile.C is None:
+        raise ConfigurationError("the Taylor tier needs the closed-form profile")
     A = params.A
     x0 = params.x0
     if not profile.contains(x0, x0):
         raise RangeError(f"center {x0} outside profile validity")
-    if profile.C is not None:
-        w = profile.D + profile.C * x0
-        return (2.0 / 3.0) * (1.0 - A * A) * profile.C / w, A
-    adv = float(profile.advection_coef(x0))
-    dA = (2.0 / 3.0) * (1.0 - A * A) * adv
-    B2 = 1.0 - A * A
-    curv = float(profile.second_derivative_inv_g(x0)) / float(profile.inv_sqrt_g(x0))
-    dx0 = A + 0.25 * (A / B2) * curv
-    return dA, dx0
+    w = profile.D + profile.C * x0
+    return (2.0 / 3.0) * (1.0 - A * A) * profile.C / w, A
 
 
 def _check_regular(w) -> None:
@@ -153,15 +150,10 @@ def effective_potential(x0, C: float, D: float):
 
 @dataclass(frozen=True)
 class DarkParticleState:
-    """Canonical center coordinate and generalized momentum."""
+    """Canonical center coordinate and generalized momentum P = s dx0/dt."""
 
     x0: float
     P: float
-    mu: float = 1.0
-
-    def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ParameterError(f"particle mass scale must be positive, got {self.mu}")
 
 
 def _mass_factor(x0: float, C: float, D: float) -> float:
@@ -172,20 +164,19 @@ def _mass_factor(x0: float, C: float, D: float) -> float:
 
 
 def hamiltonian(state: DarkParticleState, C: float, D: float) -> float:
-    """H = P^2/(2 mu) s^-1 - (mu/2) s with s = ((D + C x0)^2)^(2/3)."""
+    """H = P^2/2 s^-1 - s/2 with s = ((D + C x0)^2)^(2/3)."""
     s = _mass_factor(state.x0, C, D)
-    return state.P ** 2 / (2.0 * state.mu) / s - 0.5 * state.mu * s
+    return state.P ** 2 / 2.0 / s - 0.5 * s
 
 
 def hamilton_rhs(state: DarkParticleState, C: float, D: float) -> tuple[float, float]:
     """(dx0/dt, dP/dt) for the canonical center/momentum pair."""
     w = D + C * state.x0
     s = _mass_factor(state.x0, C, D)
-    g_ps = state.mu * s
     f = (2.0 / 3.0) * C / w
-    dg = (4.0 / 3.0) * C * g_ps / w
-    dx0 = state.P / g_ps
-    dP = g_ps * f + state.P ** 2 * (dg / g_ps ** 2 - f / g_ps)
+    ds = (4.0 / 3.0) * C * s / w
+    dx0 = state.P / s
+    dP = s * f + state.P ** 2 * (ds / s ** 2 - f / s)
     return dx0, dP
 
 
@@ -195,7 +186,8 @@ def extract_center(dens: np.ndarray, grid: SpatialGrid, x_b: float) -> float:
     dens is a field sample's density |u|^2 on grid.  x0 = integral of
     x (b - |u|^2)^2 over integral of (b - |u|^2)^2 with b the density at
     the grid point nearest to x_b, taken over the window
-    |x - x_min_density| <= 17/B_est (clipped to the grid).
+    |x - x_min_density| <= 17/B_est clipped to the grid, which
+    window_indices cuts (RangeError when fewer than three points remain).
 
     The squared weight keeps the measurement locked to the soliton core.
     A moving dark soliton drags a counterflow shelf, a background ripple
@@ -214,23 +206,15 @@ def extract_center(dens: np.ndarray, grid: SpatialGrid, x_b: float) -> float:
         raise ExtractionError("no density dip against the probed background")
     b_est = np.sqrt(depth / b) if b > 0.0 else 1.0
     half = WINDOW_HALFWIDTH_FACTOR / max(b_est, 1e-6)
-    i0 = max(0, j_min - int(half / grid.dx))
-    i1 = min(grid.n_points, j_min + int(half / grid.dx) + 1)
-    if (i1 - i0) % 2 == 0:
-        if i1 - i0 > 3:
-            i1 -= 1
-        elif i0 > 0:
-            i0 -= 1
-        else:
-            i1 += 1
-    if i1 - i0 < 3 or i1 > grid.n_points:
-        raise ExtractionError("density dip window collapsed at the grid edge")
+    x = grid.x
+    i0, i1 = window_indices(grid, max(x[0], x[j_min] - half),
+                            min(x[-1], x[j_min] + half))
     dip = b - dens[i0:i1]
     weight = dip * dip
     den = simpson(weight, grid.dx)
     if not abs(den) > 1e-8:
         raise ExtractionError("no density dip against the probed background")
-    num = simpson(grid.x[i0:i1] * weight, grid.dx)
+    num = simpson(x[i0:i1] * weight, grid.dx)
     return num / den
 
 

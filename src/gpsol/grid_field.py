@@ -5,8 +5,10 @@ of points (an even number of intervals).  simpson is one einsum against
 cached weights [1, 4, 2, ..., 4, 1]: einsum sums a row as it sums a 1-D
 input, which a BLAS product (@, np.dot) does not, and its sum does not
 depend on the thread count.  density owns re^2 + im^2 of a field sample
-(the field kernel keeps its own on its interior rows), and the derivative
-stencils live in pde_engine's kernel, the only place that uses them.
+(the field kernel keeps its own on its interior rows), window_indices owns
+the cut of an x-interval into a Simpson window (the quadratures' and the
+dark extractor's), and the derivative stencils live in pde_engine's
+kernel, the only place that uses them.
 """
 
 from __future__ import annotations
@@ -122,19 +124,18 @@ def simpson(values: np.ndarray, dx: float) -> float | np.ndarray:
     return np.einsum("...i,i->...", values, _simpson_weights(n)) * dx / 3.0
 
 
-def window_indices(grid: SpatialGrid, center: float, half_width: float) -> tuple[int, int]:
-    """Index range [i0, i1) of grid points inside [center-hw, center+hw].
+def window_indices(grid: SpatialGrid, lo: float, hi: float) -> tuple[int, int]:
+    """Index range [i0, i1) of grid points inside [lo, hi].
 
     The count is forced odd (Simpson parity) by dropping the top point if
-    needed.  Raises RangeError when the window sticks out of the grid.
+    needed.  Raises RangeError when the interval sticks out past the
+    grid's first or last point, or holds fewer than three points.
     """
-    lo = center - half_width
-    hi = center + half_width
-    if lo < grid.x_min or hi > grid.x_max:
+    x = grid.x
+    if lo < x[0] or hi > x[-1]:
         raise RangeError(
             f"window [{lo:.3f}, {hi:.3f}] exceeds grid [{grid.x_min}, {grid.x_max}]"
         )
-    x = grid.x
     i0 = int(x.searchsorted(lo, side="left"))
     i1 = int(x.searchsorted(hi, side="right"))
     if (i1 - i0) % 2 == 0:

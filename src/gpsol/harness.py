@@ -259,7 +259,6 @@ def parse_config(source: str) -> ExperimentConfig:
 class RunRecord:
     """All series of one experiment on a shared lab-time axis."""
 
-    config: ExperimentConfig
     times: np.ndarray
     centers: dict[str, np.ndarray]
     aux_pde: np.ndarray | None
@@ -453,7 +452,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             if tier in centers:
                 deltas[tier] = centers[tier] - centers["pde"]
 
-    return RunRecord(config=config, times=times, centers=centers,
+    return RunRecord(times=times, centers=centers,
                      aux_pde=aux_pde, aux_ode=amplitude,
                      conserved=conserved, deltas=deltas,
                      norm_drift_warning=drift_warning)

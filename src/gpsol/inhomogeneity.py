@@ -14,8 +14,10 @@ Every profile carries pointwise callables for g, 1/sqrt(g) and its first
 two derivatives, and each coefficient is one ratio of them.  For the
 closed form g = 1/(D + C x)^2 (homogeneous: C = 0) they are |w|, C sign(w)
 and zero in w = D + C x, so the ratios are bitwise C/w and zeros; generic
-profiles carry C = D = None.  coefficient_tables is the only evaluation of
-a profile on a grid, shared by the quadratures and the field kernel.
+profiles carry C = D = None, and the closed-form (Taylor) tiers, which
+expand the equation without its V_eff term, reject them.
+coefficient_tables is the only evaluation of a profile on a grid, shared
+by the quadratures and the field kernel.
 """
 
 from __future__ import annotations
@@ -74,14 +76,6 @@ class InhomogeneityProfile:
         """sqrt(g) * d2/dx2 (1/sqrt(g)); V_eff is -1/2 of this."""
         x = np.asarray(x, dtype=np.float64)
         return self.fn_d2_inv_sqrt_g(x) / self.fn_inv_sqrt_g(x)
-
-    def second_derivative_inv_g(self, x):
-        """d2/dx2 (1/g), expanded through 1/sqrt(g) and its derivatives."""
-        x = np.asarray(x, dtype=np.float64)
-        h = self.fn_inv_sqrt_g(x)
-        h1 = self.fn_d1_inv_sqrt_g(x)
-        h2 = self.fn_d2_inv_sqrt_g(x)
-        return 2.0 * (h1 * h1 + h * h2)
 
     def contains(self, x_lo: float, x_hi: float) -> bool:
         return x_lo >= self.x_lo and x_hi <= self.x_hi
@@ -198,6 +192,6 @@ def window_coefficients(profile: InhomogeneityProfile, grid: SpatialGrid,
     lo, hi = center - half_width, center + half_width
     if not profile.contains(lo, hi):
         raise RangeError(f"soliton window [{lo:.3f}, {hi:.3f}] outside profile validity")
-    window = slice(*window_indices(grid, center, half_width))
+    window = slice(*window_indices(grid, lo, hi))
     _, adv, pot = coefficient_tables(profile, grid)
     return grid.x[window], adv[window], None if pot is None else pot[window]

@@ -141,7 +141,7 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     if not math.isfinite(ratio):
         raise ConfigurationError(f"span {span} over step size {dt} overflows")
     n = int(round(ratio))
-    if n < 1 or abs(n * dt - span) > 1e-9 * max(1.0, abs(span)):
+    if n < 1 or abs(n * dt - span) > 1e-9 * span:
         raise ConfigurationError(
             f"span {span} is not an integer multiple of dt {dt}"
         )

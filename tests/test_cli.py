@@ -95,10 +95,7 @@ def test_run_reports_range_breakdown(tmp_path, capsys, monkeypatch):
 
 def _canned_record(config):
     times = np.array([0.0, 0.05, 0.1])
-    stub = ExperimentConfig(mode="dark", A0=0.25, t_max=0.1,
-                            sample_interval=100, tiers=("ode-full",))
-    return RunRecord(config=stub, times=times,
-                     centers={"ode-full": np.zeros(3)}, aux_pde=None,
+    return RunRecord(times=times, centers={"ode-full": np.zeros(3)}, aux_pde=None,
                      aux_ode=None, conserved=None, deltas={})
 
 

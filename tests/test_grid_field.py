@@ -86,22 +86,22 @@ def test_simpson_rejects_even_sample_count():
 
 def test_window_indices():
     g = build_grid(-10.0, 10.0, 21)
-    i0, i1 = window_indices(g, 0.0, 2.5)
+    i0, i1 = window_indices(g, -2.5, 2.5)
     assert (i0, i1) == (8, 13)
     assert (i1 - i0) % 2 == 1
     with pytest.raises(RangeError):
-        window_indices(g, 9.0, 2.0)  # sticks out on the right
+        window_indices(g, 7.0, 11.0)  # sticks out on the right
     with pytest.raises(RangeError):
-        window_indices(g, 0.0, 0.4)  # fewer than three points
+        window_indices(g, -0.4, 0.4)  # fewer than three points
 
 
 def test_window_indices_forces_odd_count():
     g = build_grid(0.0, 10.0, 21)  # dx = 0.5
-    i0, i1 = window_indices(g, 5.0, 1.25)
+    i0, i1 = window_indices(g, 3.75, 6.25)
     assert (i1 - i0) % 2 == 1
     x = g.x[i0:i1]
-    assert np.all(x >= 5.0 - 1.25 - 1e-12)
-    assert np.all(x <= 5.0 + 1.25 + 1e-12)
+    assert np.all(x >= 3.75 - 1e-12)
+    assert np.all(x <= 6.25 + 1e-12)
 
 
 ODD_LENGTHS = st.integers(1, 600).map(lambda k: 2 * k + 1)  # 3 .. 1201
@@ -146,16 +146,14 @@ def test_simpson_exact_on_cubics(coefs, lo, length, n):
 @settings(max_examples=100, deadline=None)
 @given(x_min=st.floats(-100.0, 100.0), length=st.floats(1.0, 200.0),
        n=st.integers(8, 1000).map(lambda k: 2 * k + 1),
-       center_at=st.floats(0.0, 1.0), width_at=st.floats(0.0, 1.0))
+       lo_at=st.floats(0.0, 1.0), hi_at=st.floats(0.0, 1.0))
 def test_window_indices_odd_inside_grid_and_equal_to_searchsorted(
-        x_min, length, n, center_at, width_at):
+        x_min, length, n, lo_at, hi_at):
     g = build_grid(x_min, x_min + length, n)
-    center = g.x_min + center_at * (g.x_max - g.x_min)
-    half = width_at * min(center - g.x_min, g.x_max - center)
-    lo, hi = center - half, center + half
-    if lo < g.x_min or hi > g.x_max:  # rounding pushed the window past an edge
+    lo, hi = (g.x_min + at * (g.x_max - g.x_min) for at in sorted((lo_at, hi_at)))
+    if lo < g.x[0] or hi > g.x[-1]:  # rounding pushed the window past an end point
         with pytest.raises(RangeError):
-            window_indices(g, center, half)
+            window_indices(g, lo, hi)
         return
     i0 = int(np.searchsorted(g.x, lo, side="left"))
     i1 = int(np.searchsorted(g.x, hi, side="right"))
@@ -163,9 +161,9 @@ def test_window_indices_odd_inside_grid_and_equal_to_searchsorted(
         i1 -= 1
     if i1 - i0 < 3:
         with pytest.raises(RangeError):
-            window_indices(g, center, half)
+            window_indices(g, lo, hi)
         return
-    assert window_indices(g, center, half) == (i0, i1)
+    assert window_indices(g, lo, hi) == (i0, i1)
     assert (i1 - i0) % 2 == 1
     assert 0 <= i0 < i1 <= g.n_points
     assert np.all((g.x[i0:i1] >= lo) & (g.x[i0:i1] <= hi))

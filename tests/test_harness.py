@@ -184,12 +184,10 @@ def test_scenario_presets():
 
 
 def _tiny_record():
-    cfg = ExperimentConfig(mode="dark", A0=0.25, t_max=0.1,
-                           sample_interval=100, tiers=("ode-full",))
     times = np.array([0.0, 0.05, 0.1])
     centers = {"ode-full": np.array([0.0, 0.0125, 0.025])}
     aux = np.array([0.25, 0.2499, 0.2498])
-    return RunRecord(config=cfg, times=times, centers=centers,
+    return RunRecord(times=times, centers=centers,
                      aux_pde=None, aux_ode=aux, conserved=None, deltas={})
 
 
@@ -213,15 +211,12 @@ def test_write_csv_is_deterministic(tmp_path):
 
 
 def test_record_length_validation():
-    cfg = ExperimentConfig(mode="dark", A0=0.25, t_max=0.1,
-                           sample_interval=100, tiers=("ode-full",))
     times = np.array([0.0, 0.05, 0.1])
     with pytest.raises(ConfigurationError):
-        RunRecord(config=cfg, times=times,
-                  centers={"ode-full": np.zeros(2)}, aux_pde=None,
+        RunRecord(times=times, centers={"ode-full": np.zeros(2)}, aux_pde=None,
                   aux_ode=None, conserved=None, deltas={})
     with pytest.raises(ConfigurationError):
-        RunRecord(config=cfg, times=times, centers={}, aux_pde=np.zeros(5),
+        RunRecord(times=times, centers={}, aux_pde=np.zeros(5),
                   aux_ode=None, conserved=None, deltas={})
 
 

@@ -39,8 +39,6 @@ def test_inverse_square_coefficients(grid):
     # coefficient of du/dx collapses to C/w, no branch on the sign of w
     assert np.max(np.abs(p.advection_coef(x) * w - 1.0)) < 1e-13
     assert np.all(p.potential_coef(x) == 0.0)
-    # 1/g = w^2, so its second derivative is the constant 2 C^2
-    assert np.max(np.abs(p.second_derivative_inv_g(x) - 2.0)) < 1e-13
 
 
 def test_inverse_square_positive_branch():
@@ -135,7 +133,7 @@ def _cosine_profile(x_lo, x_hi):
 
 def _on_window(profile, grid, center, half_width):
     # what the tables replace: the coefficients evaluated on the window alone
-    x = grid.x[slice(*window_indices(grid, center, half_width))]
+    x = grid.x[slice(*window_indices(grid, center - half_width, center + half_width))]
     return x, profile.advection_coef(x), profile.potential_coef(x)
 
 
@@ -197,6 +195,18 @@ def test_vanishing_potential_rows_are_skipped_exactly(monkeypatch):
     for module, _ in calls:
         monkeypatch.setattr(module, "window_coefficients", _on_window)
     assert skipped == [module.rhs_full(params, profile, grid) for module, params in calls]
+
+
+@pytest.mark.parametrize("make", [_linear_generic, lambda: _cosine_profile(-60.0, 60.0)],
+                         ids=["linear", "cosine"])
+def test_taylor_tiers_reject_generic_profiles(make):
+    # the Taylor tiers expand the closed form only: a generic profile is
+    # rejected even where its V_eff vanishes, as the linear one's does
+    profile = make()
+    with pytest.raises(ConfigurationError):
+        dark.rhs_taylor(dark.DarkSolitonParams(A=0.3, x0=2.0), profile)
+    with pytest.raises(ConfigurationError):
+        bright.rhs_taylor(bright.BrightSolitonParams(eta=0.5, xi=0.25, zeta=-3.0), profile)
 
 
 def test_dark_field_run_tabulates_its_profile_once(monkeypatch):

@@ -133,3 +133,10 @@ def test_step_count_rejects_non_finite_input(t0, t_end, dt):
 def test_step_count_rejects_an_overflowing_ratio(t_end, dt):
     with pytest.raises(ConfigurationError, match="overflows"):
         step_count(0.0, t_end, dt)
+
+
+def test_step_count_tolerance_is_relative_below_a_unit_span():
+    # 2.5 steps of 4e-10 are 1e-10 off a whole count: not a rounding error
+    with pytest.raises(ConfigurationError, match="integer multiple"):
+        step_count(0.0, 1e-9, 4e-10)
+    assert step_count(0.0, 1e-9, 2.5e-10) == 4
