@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ExtractionError, ParameterError, RangeError
+from .errors import ExtractionError, ParameterError, RangeError
 from .grid_field import ComplexField, SpatialGrid, simpson
-from .inhomogeneity import InhomogeneityProfile, window_coefficients
+from .inhomogeneity import InhomogeneityProfile, closed_form_w, window_coefficients
 
 __all__ = [
     "WINDOW_HALFWIDTH_FACTOR",
@@ -94,43 +94,29 @@ def rhs_taylor(params: BrightSolitonParams, profile: InhomogeneityProfile) -> tu
     only the closed form g = 1/(D + C x)^2; a generic profile raises
     ConfigurationError.
     """
-    if profile.C is None:
-        raise ConfigurationError("the Taylor tier needs the closed-form profile")
     eta, xi, zeta = params.eta, params.xi, params.zeta
+    adv = profile.C / closed_form_w(zeta, profile.C, profile.D)
     if not profile.contains(zeta, zeta):
         raise RangeError(f"center {zeta} outside profile validity")
-    adv = float(profile.advection_coef(zeta))
     return 8.0 * eta * xi * adv, (8.0 / 3.0) * eta * eta * adv, -4.0 * xi
 
 
 def _pinned(zeta, eta0: float, zeta0: float, C: float, D: float):
     if not eta0 > 0.0:
         raise ParameterError(f"needs eta0 > 0, got {eta0}")
-    w0 = C * zeta0 + D
-    # a float (np.float64 included) is tested directly, an array elementwise
-    if isinstance(zeta, float):
-        w = C * zeta + D
-        singular = w == 0.0
-    else:
-        w = C * np.asarray(zeta, dtype=np.float64) + D
-        singular = np.any(w == 0.0)
-    if w0 == 0.0 or singular:
-        raise RangeError("center sits on the profile singularity")
-    return w, w0
+    return closed_form_w(zeta, C, D), closed_form_w(zeta0, C, D)
 
 
 def eta_closed_form(zeta, eta0: float, zeta0: float, C: float, D: float):
     """Amplitude pinned to the center: eta0 (C zeta0 + D)^2 / (C zeta + D)^2."""
     w, w0 = _pinned(zeta, eta0, zeta0, C, D)
-    out = eta0 * (w0 / w) ** 2
-    return out if isinstance(out, np.ndarray) else float(out)
+    return eta0 * (w0 / w) ** 2
 
 
 def eom_rhs(zeta, eta0: float, zeta0: float, C: float, D: float):
     """Lab-time center acceleration -(8/3) C eta0^2 (C zeta0 + D)^4/(C zeta + D)^5."""
     w, w0 = _pinned(zeta, eta0, zeta0, C, D)
-    out = -(8.0 / 3.0) * C * eta0 ** 2 * w0 ** 4 / w ** 5
-    return out if isinstance(out, np.ndarray) else float(out)
+    return -(8.0 / 3.0) * C * eta0 ** 2 * w0 ** 4 / w ** 5
 
 
 def effective_potential(zeta, eta0: float, zeta0: float, C: float, D: float):
@@ -140,8 +126,7 @@ def effective_potential(zeta, eta0: float, zeta0: float, C: float, D: float):
     toward the profile singularity, the direction of growing interaction.
     """
     w, w0 = _pinned(zeta, eta0, zeta0, C, D)
-    out = -(2.0 / 3.0) * eta0 ** 2 * w0 ** 4 / w ** 4
-    return out if isinstance(out, np.ndarray) else float(out)
+    return -(2.0 / 3.0) * eta0 ** 2 * w0 ** 4 / w ** 4
 
 
 def extract_center(dens: np.ndarray, grid: SpatialGrid, work: np.ndarray | None = None) -> float:

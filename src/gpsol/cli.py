@@ -53,8 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.config) as handle:
-        pairs = _parse_pairs(handle.read())
+    with open(args.config, encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise ConfigurationError(f"config file {args.config} is not UTF-8: {err}") from None
+    pairs = _parse_pairs(text)
     for key in _OVERRIDE_KEYS:
         value = getattr(args, f"override_{key}")
         if value is not None:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ExtractionError, ParameterError, RangeError
+from .errors import ExtractionError, ParameterError, RangeError
 from .grid_field import ComplexField, SpatialGrid, simpson, window_indices
-from .inhomogeneity import InhomogeneityProfile, window_coefficients
+from .inhomogeneity import InhomogeneityProfile, closed_form_w, window_coefficients
 
 __all__ = [
     "WINDOW_HALFWIDTH_FACTOR",
@@ -109,43 +109,28 @@ def rhs_taylor(params: DarkSolitonParams, profile: InhomogeneityProfile) -> tupl
     (homogeneous included, C = 0), where the center equation collapses to
     dx0/dt = A exactly.  A generic profile raises ConfigurationError.
     """
-    if profile.C is None:
-        raise ConfigurationError("the Taylor tier needs the closed-form profile")
     A = params.A
     x0 = params.x0
+    w = closed_form_w(x0, profile.C, profile.D)
     if not profile.contains(x0, x0):
         raise RangeError(f"center {x0} outside profile validity")
-    w = profile.D + profile.C * x0
     return (2.0 / 3.0) * (1.0 - A * A) * profile.C / w, A
-
-
-def _check_regular(w) -> None:
-    # a float (np.float64 included) is tested directly, an array elementwise
-    singular = w == 0.0 if isinstance(w, float) else np.any(np.asarray(w) == 0.0)
-    if singular:
-        raise RangeError("particle sits on the profile singularity")
 
 
 def eom_rhs(x0: float, v: float, C: float, D: float) -> float:
     """Center acceleration (2/3) C/(D + C x0) (1 - v^2)."""
-    w = D + C * x0
-    _check_regular(w)
-    return (2.0 / 3.0) * C / w * (1.0 - v * v)
+    return (2.0 / 3.0) * C / closed_form_w(x0, C, D) * (1.0 - v * v)
 
 
 def eom_a_rhs(x0: float, C: float, D: float) -> float:
     """Small-velocity center acceleration (2/3) C/(D + C x0)."""
-    w = D + C * x0
-    _check_regular(w)
-    return (2.0 / 3.0) * C / w
+    return (2.0 / 3.0) * C / closed_form_w(x0, C, D)
 
 
 def effective_potential(x0, C: float, D: float):
     """Potential -(2/3) ln|C x0 + D| whose gradient gives eom_a_rhs."""
-    w = C * np.asarray(x0, dtype=np.float64) + D
-    _check_regular(w)
-    out = -(2.0 / 3.0) * np.log(np.abs(w))
-    return float(out) if np.ndim(x0) == 0 else out
+    out = -(2.0 / 3.0) * np.log(np.abs(closed_form_w(x0, C, D)))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -156,23 +141,21 @@ class DarkParticleState:
     P: float
 
 
-def _mass_factor(x0: float, C: float, D: float) -> float:
+def _mass_factor(w: float) -> float:
     # (D + C x0)^(4/3) evaluated on the real branch via ((D + C x0)^2)^(2/3)
-    w = D + C * x0
-    _check_regular(np.asarray(w))
-    return float((w * w) ** (2.0 / 3.0))
+    return (w * w) ** (2.0 / 3.0)
 
 
 def hamiltonian(state: DarkParticleState, C: float, D: float) -> float:
     """H = P^2/2 s^-1 - s/2 with s = ((D + C x0)^2)^(2/3)."""
-    s = _mass_factor(state.x0, C, D)
+    s = _mass_factor(closed_form_w(state.x0, C, D))
     return state.P ** 2 / 2.0 / s - 0.5 * s
 
 
 def hamilton_rhs(state: DarkParticleState, C: float, D: float) -> tuple[float, float]:
     """(dx0/dt, dP/dt) for the canonical center/momentum pair."""
-    w = D + C * state.x0
-    s = _mass_factor(state.x0, C, D)
+    w = closed_form_w(state.x0, C, D)
+    s = _mass_factor(w)
     f = (2.0 / 3.0) * C / w
     ds = (4.0 / 3.0) * C * s / w
     dx0 = state.P / s

@@ -15,7 +15,8 @@ two derivatives, and each coefficient is one ratio of them.  For the
 closed form g = 1/(D + C x)^2 (homogeneous: C = 0) they are |w|, C sign(w)
 and zero in w = D + C x, so the ratios are bitwise C/w and zeros; generic
 profiles carry C = D = None, and the closed-form (Taylor) tiers, which
-expand the equation without its V_eff term, reject them.
+expand the equation without its V_eff term, reject them.  closed_form_w is
+the only evaluation of w at a point and the only test of it for zero.
 coefficient_tables is the only evaluation of a profile on a grid, shared
 by the quadratures and the field kernel.
 """
@@ -36,6 +37,7 @@ __all__ = [
     "make_inverse_square",
     "make_homogeneous",
     "make_generic",
+    "closed_form_w",
     "coefficient_tables",
     "window_coefficients",
 ]
@@ -81,12 +83,35 @@ class InhomogeneityProfile:
         return x_lo >= self.x_lo and x_hi <= self.x_hi
 
 
+def closed_form_w(x, C: float | None, D: float | None):
+    """w = D + C x, the closed form's 1/sqrt(g) up to sign, at x.
+
+    A float for a scalar x (a Python or numpy float, an int or a 0-d
+    array), an array for an array.  Raises ConfigurationError for a generic
+    profile's C = None and RangeError where w vanishes.
+    """
+    if C is None:
+        raise ConfigurationError("the closed form needs C and D; the profile is generic")
+    # a float (np.float64 included) stays off numpy's per-call cost: the
+    # reduced tiers call this once per right-hand side
+    w = D + C * (x if isinstance(x, float) else np.asarray(x, dtype=np.float64))
+    scalar = isinstance(w, float)  # np.float64 from a 0-d array or an int too
+    if (w == 0.0) if scalar else not w.all():
+        raise RangeError("the point sits on the profile singularity")
+    return float(w) if scalar else w
+
+
+def _require_positive_finite(g, what: str) -> None:
+    if not np.all(np.isfinite(g) & (g > 0.0)):
+        raise ConfigurationError(f"{what} must be positive and finite")
+
+
 def _closed_form(C: float, D: float, fn_g: Callable, x_lo: float,
                  x_hi: float) -> InhomogeneityProfile:
     return InhomogeneityProfile(
         x_lo=x_lo, x_hi=x_hi, C=C, D=D, fn_g=fn_g,
-        fn_inv_sqrt_g=lambda x: np.abs(D + C * x),
-        fn_d1_inv_sqrt_g=lambda x: C * np.sign(D + C * x),
+        fn_inv_sqrt_g=lambda x: np.abs(closed_form_w(x, C, D)),
+        fn_d1_inv_sqrt_g=lambda x: C * np.sign(closed_form_w(x, C, D)),
         fn_d2_inv_sqrt_g=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
     )
 
@@ -94,7 +119,9 @@ def _closed_form(C: float, D: float, fn_g: Callable, x_lo: float,
 def make_inverse_square(C: float, D: float, grid: SpatialGrid) -> InhomogeneityProfile:
     """Profile g = 1/(D + C x)^2 valid on the grid's extent.
 
-    Rejects C = D = 0 and a singular point -D/C inside the domain.
+    Rejects C = D = 0, a singular point -D/C inside the domain and a g
+    that over- or underflows: |w| is monotone between the grid's ends, so
+    g is positive and finite on the grid when it is at both ends.
     """
     C = float(C)
     D = float(D)
@@ -108,9 +135,11 @@ def make_inverse_square(C: float, D: float, grid: SpatialGrid) -> InhomogeneityP
             )
 
     def fn_g(x):
-        w = D + C * x
-        return 1.0 / (w * w)
+        return 1.0 / np.square(closed_form_w(x, C, D))
 
+    with np.errstate(over="ignore", divide="ignore"):
+        _require_positive_finite(fn_g(np.array([grid.x_min, grid.x_max])),
+                                 f"g = 1/(D + C x)^2 with C = {C:g}, D = {D:g}")
     return _closed_form(C, D, fn_g, grid.x_min, grid.x_max)
 
 
@@ -155,9 +184,7 @@ def make_generic(
         raise ConfigurationError(
             f"generic profile needs a finite interval x_lo < x_hi, got [{x_lo}, {x_hi}]")
     probe = np.linspace(x_lo, x_hi, 33)
-    gv = np.asarray(fn_g(probe), dtype=np.float64)
-    if not np.all(np.isfinite(gv)) or not np.all(gv > 0.0):
-        raise ConfigurationError("generic profile must be positive and finite")
+    _require_positive_finite(np.asarray(fn_g(probe), dtype=np.float64), "generic profile")
     return InhomogeneityProfile(
         x_lo=x_lo, x_hi=x_hi, C=None, D=None,
         fn_g=fn_g, fn_inv_sqrt_g=fn_inv_sqrt_g,

@@ -9,8 +9,10 @@ import pytest
 
 from gpsol.errors import ExtractionError, ParameterError, RangeError
 from gpsol.grid_field import build_grid, density, simpson
-from gpsol.inhomogeneity import make_generic, make_inverse_square
+from gpsol.inhomogeneity import (closed_form_w, make_generic, make_homogeneous,
+                                 make_inverse_square)
 from gpsol import bright_soliton as bright
+from gpsol import dark_soliton as dark
 
 # (eta, xi, zeta) -> (d eta, d xi, d zeta) per unit scaled time
 FULL_RHS_ORACLE = {
@@ -143,6 +145,19 @@ def test_taylor_rhs_closed_form(profile):
     assert d_zeta == -4.0 * 0.25
 
 
+def test_taylor_rhs_is_bitwise_the_advection_coef_form(grid):
+    # C/w is bitwise the profile's C sign(w)/|w|, on either sign of w and at C = 0
+    profiles = [make_inverse_square(C, D, grid)
+                for C, D in ((1.0, -200.0), (-1.0, 200.0), (1.0, 200.0))]
+    for profile in profiles + [make_homogeneous(2.0)]:
+        for eta, xi, zeta in ((0.5, 0.25, -120.0), (0.5, -0.3, -3.2), (0.25, 0.5, 0.0),
+                              (0.7, 0.1, 0.1), (0.5, 0.25, 47.5), (1.0, 2.0, 140.0)):
+            adv = float(profile.advection_coef(zeta))
+            want = (8.0 * eta * xi * adv, (8.0 / 3.0) * eta * eta * adv, -4.0 * xi)
+            params = bright.BrightSolitonParams(eta=eta, xi=xi, zeta=zeta)
+            assert bright.rhs_taylor(params, profile) == want
+
+
 def test_taylor_full_consistency(grid, profile):
     for eta in (0.25, 0.5):
         p = bright.BrightSolitonParams(eta=eta, xi=0.25, zeta=0.0)
@@ -175,10 +190,18 @@ def test_eom_values():
     assert abs(bright.effective_potential(-1e6, 0.5, 0.0, 1.0, -200.0)) < 1e-12
 
 
-@pytest.mark.parametrize("fn", [bright.eta_closed_form, bright.eom_rhs,
-                                bright.effective_potential])
+@pytest.mark.parametrize("fn", [
+    bright.eta_closed_form, bright.eom_rhs, bright.effective_potential,
+    # dark's particle models and w itself, in the same (z, ...) call shape
+    pytest.param(lambda z, *_: dark.eom_rhs(z, 0.0, 1.0, -200.0), id="dark_eom_rhs"),
+    pytest.param(lambda z, *_: dark.eom_a_rhs(z, 1.0, -200.0), id="dark_eom_a_rhs"),
+    pytest.param(lambda z, *_: dark.effective_potential(z, 1.0, -200.0),
+                 id="dark_effective_potential"),
+    pytest.param(lambda z, *_: closed_form_w(z, 1.0, -200.0), id="closed_form_w"),
+])
 def test_pinned_scalar_and_array_inputs(fn):
-    # floats (np.float64 included) and 0-d arrays give a float, arrays an array
+    # floats (np.float64 included), ints and 0-d arrays give a float, arrays
+    # an array: the closed_form_w contract every closed form inherits
     for z in (-60.0, np.float64(-60.0), np.asarray(-60.0), -60):
         out = fn(z, 0.5, 0.0, 1.0, -200.0)
         assert type(out) is float

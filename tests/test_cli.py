@@ -57,6 +57,18 @@ def test_run_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg), "--D", "-100"]) == 4
     err = capsys.readouterr().err
     assert "error:" in err
+    # a file that is not UTF-8, and a (D + C x)^2 that overflows so that g
+    # would be 0 and the conserved norm NaN -> configuration failures
+    undecodable = tmp_path / "bad.cfg"
+    undecodable.write_bytes(b"mode=dark\nt_max=1\xff\n")
+    assert cli.main(["run", "--config", str(undecodable)]) == 2
+    overflowing = ["--C", "1e200", "--D=-2e202", "--A0", "0.0", "--t-max", "0.1",
+                   "--tiers", "pde,ode-full", "--sample-interval", "100",
+                   "--n-points", "1025", "--out", str(tmp_path / "overflow.csv")]
+    assert cli.main(["run", "--config", str(cfg)] + overflowing) == 2
+    err = capsys.readouterr().err
+    assert "is not UTF-8" in err and "positive and finite" in err
+    assert not (tmp_path / "overflow.csv").exists()
 
 
 def test_run_rejects_over_bound_dt_pde_before_any_tier(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from gpsol.grid_field import build_grid, window_indices
 from gpsol.harness import ExperimentConfig, run_experiment
 from gpsol.inhomogeneity import (
     InhomogeneityProfile,
+    closed_form_w,
     make_generic,
     make_homogeneous,
     make_inverse_square,
@@ -54,6 +55,10 @@ def test_inverse_square_rejects_interior_singularity(grid):
         make_inverse_square(1.0, -100.0, grid)  # singular at x = 100
     with pytest.raises(ConfigurationError):
         make_inverse_square(0.0, 0.0, grid)
+    # (D + C x)^2 overflows (g = 0) or underflows (g = inf) at a grid end
+    for C, D in ((1e200, -2e202), (0.0, 1e-170)):
+        with pytest.raises(ConfigurationError):
+            make_inverse_square(C, D, grid)
 
 
 def _bits(values):
@@ -203,6 +208,8 @@ def test_taylor_tiers_reject_generic_profiles(make):
     # the Taylor tiers expand the closed form only: a generic profile is
     # rejected even where its V_eff vanishes, as the linear one's does
     profile = make()
+    with pytest.raises(ConfigurationError):
+        closed_form_w(2.0, profile.C, profile.D)
     with pytest.raises(ConfigurationError):
         dark.rhs_taylor(dark.DarkSolitonParams(A=0.3, x0=2.0), profile)
     with pytest.raises(ConfigurationError):
