@@ -16,7 +16,7 @@ from .errors import (
 )
 from .grid_field import ComplexField, SpatialGrid, build_grid, simpson
 from .harness import ExperimentConfig, RunRecord, parse_config, run_experiment, scenario, write_csv
-from .inhomogeneity import InhomogeneityProfile, make_generic, make_homogeneous, make_inverse_square
+from .inhomogeneity import InhomogeneityProfile, make_generic, make_inverse_square
 from .ode_engine import OdeSystem, OdeTrajectory, abm4_integrate, rk4_integrate
 from .pde_engine import EvolutionProblem, PdeTrajectory, evolve
 
@@ -37,7 +37,6 @@ __all__ = [
     "simpson",
     "InhomogeneityProfile",
     "make_inverse_square",
-    "make_homogeneous",
     "make_generic",
     "OdeSystem",
     "OdeTrajectory",

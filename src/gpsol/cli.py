@@ -8,15 +8,18 @@ Subcommands:
 
 Exit codes: 0 success, 1 I/O failure, 2 bad configuration, 3 numerical
 failure (instability, range or extraction breakdown), 4 singular profile
-inside the domain.
+inside the domain.  A run whose field norm drifted past its tolerance
+prints one warning line to stderr and keeps its exit code and CSV.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 
+from . import pde_engine
 from .errors import (ConfigurationError, GpsolError, InstabilityError,
                      SingularityError)
 from .harness import (SCENARIOS, ExperimentConfig, config_from_mapping,
@@ -38,6 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment from a config file")
+    # a negative number in exponent form (-2e202) is a value, not a flag;
+    # argparse's own pattern takes only -1 and -1.5
+    run_p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     run_p.add_argument("--config", required=True, help="key=value config file")
     for key in _OVERRIDE_KEYS:
         flag = "--out" if key == "out_path" else "--" + key.replace("_", "-")
@@ -64,10 +70,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if value is not None:
             pairs[key] = value
     config = config_from_mapping(pairs)
-    record = run_experiment(config)
-    out_path = config.out_path or "run.csv"
-    write_csv(record, out_path)
-    print(f"wrote {out_path} ({record.times.shape[0]} rows)")
+    _write(run_experiment(config), config.out_path or "run.csv")
     return 0
 
 
@@ -77,11 +80,17 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     configs = scenario(args.name)
     os.makedirs(args.out_dir, exist_ok=True)
     for index, config in enumerate(configs):
-        record = run_experiment(config)
-        path = os.path.join(args.out_dir, f"{args.name}-{index}.csv")
-        write_csv(record, path)
-        print(f"wrote {path} ({record.times.shape[0]} rows)")
+        _write(run_experiment(config), os.path.join(args.out_dir, f"{args.name}-{index}.csv"))
     return 0
+
+
+def _write(record, path: str) -> None:
+    """Write the record's CSV, say so, and warn when its field norm drifted."""
+    write_csv(record, path)
+    print(f"wrote {path} ({record.times.shape[0]} rows)")
+    if record.norm_drift_warning:
+        print(f"warning: {path}: the field's conserved norm drifted by more than "
+              f"{pde_engine.NORM_DRIFT_TOL:g} relative", file=sys.stderr)
 
 
 def _cmd_validate() -> int:

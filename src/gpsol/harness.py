@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -190,7 +191,21 @@ class ExperimentConfig:
             )
         # ODE tiers sample on the same lab-time axis; bright tiers run in
         # the half-rate frame, so their stride halves
-        step_count(0.0, _FRAME_RATE[self.mode] * self.sample_step, self.dt_ode)
+        stride = step_count(0.0, _FRAME_RATE[self.mode] * self.sample_step, self.dt_ode)
+        # at least these float64 words grow with t_max or n_points: the time
+        # axis and a series per CSV column, the ODE states and times, the
+        # grid's x and the profile's 4 tables, and the pde tier's 11 complex
+        # rows (the field, the kernel's 5-row stencil table, 5 stepper rows)
+        n_rows = n_pde // self.sample_interval + 1
+        width = sum(len(_REDUCED[self.mode][t].y0(self)) for t in self.tiers if t != "pde")
+        ode = ((n_rows - 1) * stride + 1) * (width + 1) if width else 0
+        grid_rows = 5 + (22 if "pde" in self.tiers else 0)
+        words = n_rows * len(CSV_HEADER.split(",")) + ode + grid_rows * self.n_points
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 8 * words > memory:
+            raise ConfigurationError(
+                f"the run needs at least {8 * words:.3g} bytes of arrays, more than "
+                f"the {memory:.3g} bytes of physical memory")
 
     @property
     def sample_step(self) -> float:

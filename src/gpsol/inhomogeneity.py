@@ -12,13 +12,13 @@ and a first-derivative term -coef(x) * du/dx with
 
 Every profile carries pointwise callables for g, 1/sqrt(g) and its first
 two derivatives, and each coefficient is one ratio of them.  For the
-closed form g = 1/(D + C x)^2 (homogeneous: C = 0) they are |w|, C sign(w)
-and zero in w = D + C x, so the ratios are bitwise C/w and zeros; generic
-profiles carry C = D = None, and the closed-form (Taylor) tiers, which
-expand the equation without its V_eff term, reject them.  closed_form_w is
-the only evaluation of w at a point and the only test of it for zero.
-coefficient_tables is the only evaluation of a profile on a grid, shared
-by the quadratures and the field kernel.
+closed form g = 1/(D + C x)^2 (homogeneous: C = 0, g = 1/D^2) they are
+|w|, C sign(w) and zero in w = D + C x, so the ratios are bitwise C/w and
+zeros; generic profiles carry C = D = None, and the closed-form (Taylor)
+tiers, which expand the equation without its V_eff term, reject them.
+closed_form_w is the only evaluation of w at a point and the only test of
+it for zero.  coefficient_tables is the only evaluation of a profile on a
+grid, shared by the quadratures and the field kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .grid_field import SpatialGrid, window_indices
 __all__ = [
     "InhomogeneityProfile",
     "make_inverse_square",
-    "make_homogeneous",
     "make_generic",
     "closed_form_w",
     "coefficient_tables",
@@ -106,18 +105,8 @@ def _require_positive_finite(g, what: str) -> None:
         raise ConfigurationError(f"{what} must be positive and finite")
 
 
-def _closed_form(C: float, D: float, fn_g: Callable, x_lo: float,
-                 x_hi: float) -> InhomogeneityProfile:
-    return InhomogeneityProfile(
-        x_lo=x_lo, x_hi=x_hi, C=C, D=D, fn_g=fn_g,
-        fn_inv_sqrt_g=lambda x: np.abs(closed_form_w(x, C, D)),
-        fn_d1_inv_sqrt_g=lambda x: C * np.sign(closed_form_w(x, C, D)),
-        fn_d2_inv_sqrt_g=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-    )
-
-
 def make_inverse_square(C: float, D: float, grid: SpatialGrid) -> InhomogeneityProfile:
-    """Profile g = 1/(D + C x)^2 valid on the grid's extent.
+    """Profile g = 1/(D + C x)^2 valid on the grid's extent; C = 0 is g = 1/D^2.
 
     Rejects C = D = 0, a singular point -D/C inside the domain and a g
     that over- or underflows: |w| is monotone between the grid's ends, so
@@ -140,22 +129,11 @@ def make_inverse_square(C: float, D: float, grid: SpatialGrid) -> InhomogeneityP
     with np.errstate(over="ignore", divide="ignore"):
         _require_positive_finite(fn_g(np.array([grid.x_min, grid.x_max])),
                                  f"g = 1/(D + C x)^2 with C = {C:g}, D = {D:g}")
-    return _closed_form(C, D, fn_g, grid.x_min, grid.x_max)
-
-
-def make_homogeneous(g_const: float = 1.0) -> InhomogeneityProfile:
-    """Constant profile g(x) = g_const > 0, valid everywhere.
-
-    The closed form with C = 0 and D = 1/sqrt(g_const); g keeps the exact
-    constant, which 1/D^2 would round.
-    """
-    g_const = float(g_const)
-    if not g_const > 0.0:
-        raise ConfigurationError(f"homogeneous profile needs g > 0, got {g_const}")
-    return _closed_form(
-        0.0, float(1.0 / np.sqrt(g_const)),
-        lambda x: np.full_like(np.asarray(x, dtype=np.float64), g_const),
-        -np.inf, np.inf,
+    return InhomogeneityProfile(
+        x_lo=grid.x_min, x_hi=grid.x_max, C=C, D=D, fn_g=fn_g,
+        fn_inv_sqrt_g=lambda x: np.abs(closed_form_w(x, C, D)),
+        fn_d1_inv_sqrt_g=lambda x: C * np.sign(closed_form_w(x, C, D)),
+        fn_d2_inv_sqrt_g=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
     )
 
 

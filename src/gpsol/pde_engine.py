@@ -6,13 +6,13 @@ Variants (all first order in time, written for the time derivative):
   transformed-bright       i du/dt   = -1/2 u_xx  -   |u|^2 u       + P[u]
   transformed-dark-rotated i du/dt   = -1/2 u_xx  +  (|u|^2 - 1) u  + P[u]
 
-with P[u] = V_eff u - coef du/dx from the inhomogeneity profile, whose g,
-coef and V_eff EvolutionProblem reads from inhomogeneity.coefficient_tables,
-the tables the rhs_full quadratures read too.  Space is
-discretized with fourth-order central five-point stencils, the program's
-only derivative stencils; the two outermost points on each side are
-clamped to their initial values (their time derivative is forced to
-zero), which doubles as the boundary condition.
+with P[u] = V_eff u - coef du/dx from the inhomogeneity profile.  The
+kernel and the norm read g, coef and V_eff from coefficient_tables, as the
+rhs_full quadratures do; EvolutionProblem only validates (variant, profile,
+grid, s).  Space is discretized with fourth-order central five-point
+stencils, the program's only derivative stencils; the two outermost points
+on each side are clamped to their initial values (their time derivative is
+forced to zero), which doubles as the boundary condition.
 
 Each stepper has its own bound dt <= factor * dx^2 for the dispersion
 term, whose grid-scale mode has eigenvalue -(8/3) i / dx^2.  RK4 is
@@ -103,17 +103,6 @@ class EvolutionProblem:
                 raise ConfigurationError(
                     f"{self.variant} implies s = {implied}, got {self.s}"
                 )
-        self._g, adv, pot = coefficient_tables(self.profile, self.grid)
-        self._inv_g = 1.0 / self._g
-        # the transformation-induced terms belong to the u frames only;
-        # the psi frame keeps the bare interaction profile instead
-        self._adv = None
-        self._veff = None
-        if self.variant != "original-psi":
-            if np.any(adv != 0.0):
-                self._adv = adv
-            if pot is not None:
-                self._veff = -0.5 * pot
 
 
 # Fourth-order five-point stencils on u[k:k+m], k = 0..4: 12 dx^2 u'' and
@@ -130,8 +119,8 @@ def _rhs_kernel(problem: EvolutionProblem):
 
         a_k = i (half_c2 s_k + c1 d_k adv - [k == 2] V_eff),  k = 0..4,
 
-    with s and d the second- and first-derivative stencils, and adv or
-    V_eff zero where the problem has none.  A call then writes
+    with s and d the second- and first-derivative stencils, and adv and
+    V_eff zero in the psi frame and where a table vanishes.  A call writes
 
         out[2:-2] = sum_k a_k u[k:k+m] + nl u[2:-2],
 
@@ -151,13 +140,16 @@ def _rhs_kernel(problem: EvolutionProblem):
     coef = np.zeros((5, m), dtype=np.complex128)
     lin = coef.imag
     lin[:] = half_c2 * _D2_STENCIL[:, None]
-    if problem._adv is not None:
-        lin += c1 * _D1_STENCIL[:, None] * problem._adv[2:-2]
-    if problem._veff is not None:
-        lin[2] -= problem._veff[2:-2]
+    g, adv, pot = coefficient_tables(problem.profile, problem.grid)
     variant = problem.variant
-    # -s g, exact: s is +-1
-    neg_sg = -problem.s * problem._g[2:-2]
+    if variant == "original-psi":
+        # -s g, exact: s is +-1
+        neg_sg = -problem.s * g[2:-2]
+    else:
+        if np.any(adv):
+            lin += c1 * _D1_STENCIL[:, None] * adv[2:-2]
+        if pot is not None:
+            lin[2] += 0.5 * pot[2:-2]  # -V_eff
     nl = np.zeros(m, dtype=np.complex128)
     nl_im = nl.imag
     tmp = np.empty(m, dtype=np.complex128)
@@ -184,16 +176,17 @@ def _rhs_kernel(problem: EvolutionProblem):
     return rhs_into
 
 
-def _norm(problem: EvolutionProblem, dens: np.ndarray, work: np.ndarray | None = None) -> float:
+def _norm(dens: np.ndarray, dx: float, inv_g: np.ndarray | None,
+          work: np.ndarray | None = None) -> float:
     """The conserved norm of the variant's frame, from the density |u|^2.
 
-    original-psi conserves N_psi = integral |Psi|^2; the transformed
-    variants conserve N_w = integral |u|^2 / g, whose integrand goes to
-    work, a row evolve keeps for a run, or to a new row without it.
+    original-psi conserves N_psi = integral |Psi|^2 (inv_g None); the
+    transformed variants conserve N_w = integral |u|^2 / g, whose integrand
+    goes to work, a row evolve keeps for a run, or to a new row without it.
     """
-    if problem.variant != "original-psi":
-        dens = np.multiply(dens, problem._inv_g, out=work)
-    return simpson(dens, problem.grid.dx)
+    if inv_g is not None:
+        dens = np.multiply(dens, inv_g, out=work)
+    return simpson(dens, dx)
 
 
 @dataclass
@@ -267,9 +260,12 @@ def evolve(
     times = t0 + (dt * sample_every) * np.arange(n_samples)
     conserved = np.empty(n_samples)
     u = field0.values.copy()
+    dx = problem.grid.dx
+    inv_g = (None if problem.variant == "original-psi"
+             else 1.0 / coefficient_tables(problem.profile, problem.grid)[0])
     # the sample's density and a scratch row, kept for the run
     buf = np.empty((2, problem.grid.n_points))
-    conserved[0] = _norm(problem, density(u, buf), buf[1])
+    conserved[0] = _norm(density(u, buf), dx, inv_g, buf[1])
     if on_sample is None:
         fields = np.empty((n_samples, problem.grid.n_points), dtype=np.complex128)
         fields[0] = u
@@ -281,7 +277,7 @@ def evolve(
 
     def record(j: int, u: np.ndarray) -> None:
         dens = density(u, buf)
-        conserved[j] = _norm(problem, dens, buf[1])
+        conserved[j] = _norm(dens, dx, inv_g, buf[1])
         on_sample(j, u, dens)
 
     # looked up in this module at each call, so that a wrapper installed

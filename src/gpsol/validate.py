@@ -13,7 +13,7 @@ import numpy as np
 from . import bright_soliton as bright
 from . import dark_soliton as dark
 from .grid_field import build_grid, simpson
-from .inhomogeneity import make_homogeneous, make_inverse_square
+from .inhomogeneity import make_inverse_square
 from .ode_engine import OdeSystem, abm4_integrate, rk4_integrate
 from .pde_engine import EvolutionProblem, _rhs_kernel, evolve
 
@@ -53,7 +53,7 @@ def _check_profile():
     x = g.x
     adv_identity = np.max(np.abs(prof.advection_coef(x) * (-200.0 + x) - 1.0))
     veff = np.max(np.abs(prof.potential_coef(x)))
-    flat = make_homogeneous(2.0)
+    flat = make_inverse_square(0.0, 1.0, g)
     flat_adv = np.max(np.abs(flat.advection_coef(x)))
     ok = adv_identity < 1e-12 and veff == 0.0 and flat_adv == 0.0
     return ok, (f"advection identity err {adv_identity:.1e}, "

@@ -9,8 +9,7 @@ import pytest
 
 from gpsol.errors import ExtractionError, ParameterError, RangeError
 from gpsol.grid_field import build_grid, density, simpson
-from gpsol.inhomogeneity import (closed_form_w, make_generic, make_homogeneous,
-                                 make_inverse_square)
+from gpsol.inhomogeneity import closed_form_w, make_generic, make_inverse_square
 from gpsol import bright_soliton as bright
 from gpsol import dark_soliton as dark
 
@@ -149,7 +148,7 @@ def test_taylor_rhs_is_bitwise_the_advection_coef_form(grid):
     # C/w is bitwise the profile's C sign(w)/|w|, on either sign of w and at C = 0
     profiles = [make_inverse_square(C, D, grid)
                 for C, D in ((1.0, -200.0), (-1.0, 200.0), (1.0, 200.0))]
-    for profile in profiles + [make_homogeneous(2.0)]:
+    for profile in profiles + [make_inverse_square(0.0, 0.5, grid)]:
         for eta, xi, zeta in ((0.5, 0.25, -120.0), (0.5, -0.3, -3.2), (0.25, 0.5, 0.0),
                               (0.7, 0.1, 0.1), (0.5, 0.25, 47.5), (1.0, 2.0, 140.0)):
             adv = float(profile.advection_coef(zeta))

@@ -7,6 +7,7 @@ import pytest
 
 import gpsol.cli as cli
 import gpsol.harness
+import gpsol.pde_engine
 import gpsol.validate
 from gpsol.errors import InstabilityError, RangeError
 from gpsol.harness import ExperimentConfig, RunRecord
@@ -69,6 +70,70 @@ def test_run_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "is not UTF-8" in err and "positive and finite" in err
     assert not (tmp_path / "overflow.csv").exists()
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--x0-0", "-1e1"], 0, ""),
+    (["--C", "1e200", "--D", "-2e202"], 2, "positive and finite"),
+], ids=["x0-0", "C-D"])
+def test_negative_exponent_values_are_flag_values(tmp_path, capsys, monkeypatch,
+                                                  flags, code, message):
+    # argparse's own pattern would take -1e1 and -2e202 for unknown options
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path)
+    assert cli.main(["run", "--config", str(cfg)] + flags) == code
+    err = capsys.readouterr().err
+    assert message in err and "usage:" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n-points", str(2 ** 58 + 1)],
+    ["--t-max", "1e9", "--tiers", "pde,ode-full"],
+], ids=["n_points-2**58+1", "t_max-1e9"])
+def test_run_past_physical_memory_exits_2_before_running(tmp_path, capsys, monkeypatch,
+                                                         flags):
+    def must_not_run(config):
+        raise AssertionError("a run past physical memory was started")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    cfg = _write_config(tmp_path)
+    assert cli.main(["run", "--config", str(cfg)] + flags) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
+FIELD_CONFIG = """
+mode = dark
+A0 = 0.25
+t_max = 0.2
+dt_pde = 2e-3
+sample_interval = 50
+x_min = -60
+x_max = 60
+n_points = 1025
+tiers = pde
+"""
+
+
+def test_run_warns_once_when_the_field_norm_drifts(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path, FIELD_CONFIG)
+    quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(quiet)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    monkeypatch.setattr(gpsol.pde_engine, "NORM_DRIFT_TOL", 0.0)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(loud)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"warning: {loud}: ")
+    assert loud.read_bytes() == quiet.read_bytes()
+
+
+def test_scenario_warns_for_each_drifted_record(tmp_path, capsys, monkeypatch):
+    def drifted(config):
+        return dataclasses.replace(_canned_record(config), norm_drift_warning=True)
+
+    monkeypatch.setattr(cli, "run_experiment", drifted)
+    assert cli.main(["scenario", "dark-accel", "--out-dir", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("warning: ") for line in err)
 
 
 def test_run_rejects_over_bound_dt_pde_before_any_tier(tmp_path, capsys, monkeypatch):

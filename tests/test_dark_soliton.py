@@ -11,7 +11,7 @@ import pytest
 
 from gpsol.errors import ExtractionError, ParameterError, RangeError
 from gpsol.grid_field import build_grid, density, simpson, window_indices
-from gpsol.inhomogeneity import make_generic, make_homogeneous, make_inverse_square
+from gpsol.inhomogeneity import make_generic, make_inverse_square
 from gpsol.ode_engine import OdeSystem, rk4_integrate
 from gpsol import dark_soliton as dark
 
@@ -140,11 +140,11 @@ def test_taylor_rhs_inverse_square(profile):
     assert dA0 == pytest.approx(-1.0 / 300.0, rel=1e-14)
 
 
-def test_taylor_rhs_homogeneous():
-    # the closed form at C = 0: exactly +0.0, sign bit included
-    for g in (1.0, 2.0):
+def test_taylor_rhs_homogeneous(grid):
+    # the closed form at C = 0 (g = 1/D^2): exactly +0.0, sign bit included
+    for D in (1.0, 0.5):
         dA, dx0 = dark.rhs_taylor(dark.DarkSolitonParams(A=0.3, x0=5.0),
-                                  make_homogeneous(g))
+                                  make_inverse_square(0.0, D, grid))
         assert (dA, dx0) == (0.0, 0.3) and not np.signbit(dA)
 
 

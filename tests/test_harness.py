@@ -362,6 +362,18 @@ def test_overflowing_step_count_is_a_configuration_error(kwargs):
         ExperimentConfig(mode="dark", A0=0.0, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    # the grid's x row alone would be 2 EiB
+    dict(A0=0.0, t_max=0.2, tiers=("ode-full",), n_points=2 ** 58 + 1),
+    # a 1e10-row time axis and a 1e12-row ODE trajectory
+    dict(A0=0.0, t_max=1e9),
+], ids=["n_points-2**58+1", "t_max-1e9"])
+def test_config_rejects_a_run_past_physical_memory(kwargs):
+    # rejected from a size estimate on construction, before any allocation
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        ExperimentConfig(mode="dark", **kwargs)
+
+
 def test_edge_crossing_raises_before_the_march_ends(monkeypatch):
     # a fast dark soliton starting 1 from the tracked region's edge leaves
     # it near t = 1.1; the run must stop there, not after all 160 steps

@@ -13,7 +13,6 @@ from gpsol.inhomogeneity import (
     InhomogeneityProfile,
     closed_form_w,
     make_generic,
-    make_homogeneous,
     make_inverse_square,
     window_coefficients,
 )
@@ -65,31 +64,25 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
-@pytest.mark.parametrize("D", [200.0, -200.0, 400.0, 1.0, -3.0])
-@pytest.mark.parametrize("C", [1.0, -1.0, 0.5, 2.0, 0.0])
+@pytest.mark.parametrize("C, D", [(C, D) for C in (1.0, -1.0, 0.5, 2.0, 0.0)
+                                  for D in (200.0, -200.0, 400.0, 1.0, -3.0)]
+                         + [(0.0, 0.5)])
 def test_closed_form_coefficients_are_bitwise_c_over_w(C, D):
     # built on a grid clear of every singular point -D/C, then evaluated
-    # across the default grid and at scalars, where the ratios of the
-    # 1/sqrt(g) closures must reproduce C/w and zeros, sign bits included
-    p = make_inverse_square(C, D, build_grid(7.0, 9.0, 17))
+    # across the default grid and at scalars, where g must be 1/w^2 and the
+    # ratios of the 1/sqrt(g) closures must reproduce C/w and zeros, sign
+    # bits included; C = 0 is the homogeneous profile, g = 1/D^2
+    small = build_grid(7.0, 9.0, 17)
+    p = make_inverse_square(C, D, small)
     for x in (build_grid(-150.0, 150.0, 4097).x, 0.0, -0.0, 12.5, -140.0):
         x = np.asarray(x, dtype=np.float64)
-        assert np.array_equal(_bits(p.advection_coef(x)), _bits(C / (D + C * x)))
+        w = D + C * x
+        assert np.array_equal(_bits(p.g(x)), _bits(1.0 / (w * w)))
+        assert np.array_equal(_bits(p.advection_coef(x)), _bits(C / w))
         assert np.array_equal(_bits(p.potential_coef(x)), _bits(np.zeros_like(x)))
-
-
-def test_homogeneous_profile():
-    p = make_homogeneous(2.0)
-    x = np.linspace(-5.0, 5.0, 11)
-    assert np.all(p.g(x) == 2.0)
-    # +0.0 everywhere, sign bits included
-    assert np.array_equal(_bits(p.advection_coef(x)), _bits(np.zeros_like(x)))
-    assert np.array_equal(_bits(p.potential_coef(x)), _bits(np.zeros_like(x)))
-    assert p.contains(-1e9, 1e9)
-    with pytest.raises(ConfigurationError):
-        make_homogeneous(0.0)
-    with pytest.raises(ConfigurationError):
-        make_homogeneous(-1.0)
+    # valid on the grid it was built for, and only there
+    assert p.contains(small.x_min, small.x_max)
+    assert not p.contains(small.x_min - 1.0, small.x_max)
 
 
 def test_generic_profile_matches_closed_forms():

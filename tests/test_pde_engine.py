@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from gpsol.errors import ConfigurationError, InstabilityError
 from gpsol import pde_engine
 from gpsol.grid_field import ComplexField, build_grid, density, simpson
-from gpsol.inhomogeneity import make_generic, make_homogeneous, make_inverse_square
+from gpsol.inhomogeneity import (InhomogeneityProfile, closed_form_w, coefficient_tables,
+                                 make_generic, make_inverse_square)
 from gpsol import harness
 from gpsol.harness import ExperimentConfig, run_experiment
 from gpsol.ode_engine import _AB4, _AM4, abm4_integrate, abm4_step, rk4_integrate, rk4_step
@@ -38,13 +39,14 @@ def _rhs(problem, field):
 
 def _dark_setup(x_lim, n):
     grid = build_grid(-x_lim, x_lim, n)
-    problem = EvolutionProblem("transformed-dark-rotated", make_homogeneous(1.0), grid)
+    problem = EvolutionProblem("transformed-dark-rotated", make_inverse_square(0.0, 1.0, grid),
+                               grid)
     return grid, problem
 
 
 def test_variant_validation():
     grid = build_grid(-20.0, 20.0, 641)
-    profile = make_homogeneous(1.0)
+    profile = make_inverse_square(0.0, 1.0, grid)
     with pytest.raises(ConfigurationError):
         EvolutionProblem("no-such-variant", profile, grid)
     with pytest.raises(ConfigurationError):
@@ -88,7 +90,7 @@ def test_bright_envelope_phase_rotation():
     # at xi = 0 the bright profile only rotates its phase, at rate
     # 2 eta^2, so the rhs must equal 2 i eta^2 u
     grid = build_grid(-20.0, 20.0, 2001)
-    problem = EvolutionProblem("transformed-bright", make_homogeneous(1.0), grid)
+    problem = EvolutionProblem("transformed-bright", make_inverse_square(0.0, 1.0, grid), grid)
     field = bright.ansatz(bright.BrightSolitonParams(eta=0.5, xi=0.0, zeta=0.0), grid)
     out = _rhs(problem, field)
     expected = 2j * 0.25 * field.values
@@ -119,18 +121,50 @@ def test_conserved_quantity_names():
     assert evolve(psi_problem, field, 0.0, 1e-3, 1e-3, 1).conserved[0] == pytest.approx(
         simpson(dens, grid.dx), rel=1e-14)
     # homogeneous profile: N_w equals the plain density integral (g = 1)
-    hom = EvolutionProblem("transformed-bright", make_homogeneous(1.0), grid)
+    hom = EvolutionProblem("transformed-bright", make_inverse_square(0.0, 1.0, grid), grid)
     n_w = evolve(hom, field, 0.0, 1e-3, 1e-3, 1).conserved[0]
     assert n_w == pytest.approx(4.0 * 0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_homogeneous_problem_has_no_transformation_terms(variant):
+    # the tables the kernel reads: no advection, no V_eff, g = 1/D^2 exactly
     grid = build_grid(-20.0, 20.0, 641)
-    problem = EvolutionProblem(variant, make_homogeneous(2.0), grid,
+    problem = EvolutionProblem(variant, make_inverse_square(0.0, 0.5, grid), grid,
                                s=-1 if variant == "original-psi" else None)
-    assert problem._adv is None and problem._veff is None
-    assert np.all(problem._g == 2.0)
+    g, adv, pot = coefficient_tables(problem.profile, problem.grid)
+    assert not np.any(adv) and pot is None
+    assert np.all(g == 4.0)
+
+
+def _retired_homogeneous(g_const):
+    """The constant profile of the former make_homogeneous(g_const), kept as a reference."""
+    D = float(1.0 / np.sqrt(g_const))
+    return InhomogeneityProfile(
+        x_lo=-np.inf, x_hi=np.inf, C=0.0, D=D,
+        fn_g=lambda x: np.full_like(np.asarray(x, dtype=np.float64), g_const),
+        fn_inv_sqrt_g=lambda x: np.abs(closed_form_w(x, 0.0, D)),
+        fn_d1_inv_sqrt_g=lambda x: 0.0 * np.sign(closed_form_w(x, 0.0, D)),
+        fn_d2_inv_sqrt_g=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
+    )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_homogeneous_member_is_bitwise_the_retired_constructor(variant):
+    # at g = 1 the closed form's C = 0 member has the same tables, sign bits
+    # included, and a field run on it is the same run bit for bit
+    grid = build_grid(-15.0, 15.0, 257)
+    s = -1 if variant == "original-psi" else None
+    problems = [EvolutionProblem(variant, profile, grid, s=s)
+                for profile in (_retired_homogeneous(1.0), make_inverse_square(0.0, 1.0, grid))]
+    old, new = (coefficient_tables(p.profile, grid) for p in problems)
+    for a, b in zip(old[:2], new[:2]):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert old[2] is None and new[2] is None
+    field0 = bright.ansatz(bright.BrightSolitonParams(eta=0.5, xi=0.25, zeta=1.0), grid)
+    old_run, new_run = (evolve(p, field0, 0.0, 0.08, 2e-3, 4) for p in problems)
+    assert np.array_equal(new_run.fields, old_run.fields)
+    assert np.array_equal(new_run.conserved, old_run.conserved)
 
 
 def test_evolve_validation():
@@ -178,7 +212,7 @@ def test_abm4_has_its_own_stability_bound(monkeypatch):
 @pytest.mark.parametrize("stepper", ["rk4", "abm4"])
 def test_homogeneous_bright_density_is_static(stepper):
     grid = build_grid(-20.0, 20.0, 641)
-    problem = EvolutionProblem("transformed-bright", make_homogeneous(1.0), grid)
+    problem = EvolutionProblem("transformed-bright", make_inverse_square(0.0, 1.0, grid), grid)
     field0 = bright.ansatz(bright.BrightSolitonParams(eta=0.5, xi=0.0, zeta=0.0), grid)
     traj = evolve(problem, field0, 0.0, 0.5, 1e-3, 100, stepper=stepper)
     assert traj.times.shape == (6,)
@@ -215,7 +249,7 @@ def test_transformation_equivalence_small_grid():
 
 def test_instability_is_reported():
     grid = build_grid(-5.0, 5.0, 17)
-    problem = EvolutionProblem("transformed-bright", make_homogeneous(1.0), grid)
+    problem = EvolutionProblem("transformed-bright", make_inverse_square(0.0, 1.0, grid), grid)
     seed = bright.ansatz(bright.BrightSolitonParams(eta=0.5, xi=0.0, zeta=0.0), grid)
     hot = ComplexField(grid, 1e8 * seed.values)  # nonlinear term >> stable scale
     with pytest.raises(InstabilityError) as info:
@@ -268,7 +302,7 @@ def test_consumer_density_and_norm_are_bitwise(variant):
         if dens is not None:
             assert np.array_equal(dens, expected)
         if variant != "original-psi":
-            expected = expected * problem._inv_g
+            expected = expected * (1.0 / coefficient_tables(problem.profile, grid)[0])
         assert conserved == simpson(expected, grid.dx)
 
 
@@ -289,9 +323,12 @@ def _reference_rhs(problem):
     dx = problem.grid.dx
     c2 = 1.0 / (12.0 * dx * dx)
     c1 = 1.0 / (12.0 * dx)
-    g_int = problem._g[2:-2]
-    adv_int = problem._adv[2:-2] if problem._adv is not None else None
-    veff_int = problem._veff[2:-2] if problem._veff is not None else None
+    g, adv, pot = coefficient_tables(problem.profile, problem.grid)
+    g_int = g[2:-2]
+    # the transformation-induced terms belong to the u frames only
+    u_frame = problem.variant != "original-psi"
+    adv_int = adv[2:-2] if u_frame else None
+    veff_int = -0.5 * pot[2:-2] if u_frame and pot is not None else None
 
     def rhs_array(t, u):
         ui = u[2:-2]
@@ -349,7 +386,7 @@ def _equality_profile(kind, grid):
     if kind == "inverse-square":
         return make_inverse_square(1.0, -20.0, grid)
     if kind == "homogeneous":
-        return make_homogeneous(1.0)
+        return make_inverse_square(0.0, 1.0, grid)
     # 1/sqrt(g) = 1 + 0.05 cos(x/3): both the advection and the V_eff term are on
     h = lambda x: 1.0 + 0.05 * np.cos(np.asarray(x) / 3.0)
     return make_generic(
@@ -382,7 +419,8 @@ def test_buffered_steps_equal_allocating_reference(variant, stepper, kind):
     # the kernel sums its stencil in another order than the reference, so
     # they agree to roundoff; the bounds are fixed from float64's epsilon
     assert np.max(np.abs(traj.fields - expected)) <= 32 * _EPS * np.max(np.abs(expected))
-    norms = np.array([pde_engine._norm(problem, density(f)) for f in expected])
+    inv_g = None if variant == "original-psi" else 1.0 / problem.profile.g(grid.x)
+    norms = np.array([pde_engine._norm(density(f), grid.dx, inv_g) for f in expected])
     assert np.max(np.abs(traj.conserved - norms) / np.abs(norms)) <= 32 * _EPS
     assert np.array_equal(field0.values, values0)
     assert (np.max(np.abs(_rhs(problem, field0) - _reference_rhs(problem)(0.0, values0)))
@@ -452,16 +490,17 @@ def test_sampled_norm_allocates_no_array(variant):
         problem = EvolutionProblem(variant, make_inverse_square(1.0, -200.0, grid), grid,
                                    s=-1 if variant == "original-psi" else None)
         u = bright.ansatz(bright.BrightSolitonParams(eta=0.5, xi=0.25, zeta=1.0), grid).values
+        inv_g = None if variant == "original-psi" else 1.0 / problem.profile.g(grid.x)
         buf = np.empty((2, n_points))
-        norm = pde_engine._norm(problem, density(u, buf), buf[1])
+        norm = pde_engine._norm(density(u, buf), grid.dx, inv_g, buf[1])
         tracemalloc.start()
         try:
-            pde_engine._norm(problem, density(u, buf), buf[1])
+            pde_engine._norm(density(u, buf), grid.dx, inv_g, buf[1])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         dens = u.real ** 2 + u.imag ** 2
-        assert norm == pde_engine._norm(problem, dens)
+        assert norm == pde_engine._norm(dens, grid.dx, inv_g)
         if variant != "original-psi":
             dens = dens / problem.profile.g(grid.x)
         assert norm == pytest.approx(simpson(dens, grid.dx), rel=1e-14)
