@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError, ParameterError, RangeError
-from .grid_field import ComplexField, SpatialGrid, simpson
+from .grid_field import WINDOW_HALFWIDTH_FACTOR, ComplexField, SpatialGrid, simpson
 from .inhomogeneity import InhomogeneityProfile, closed_form_w, window_coefficients
 
 __all__ = [
-    "WINDOW_HALFWIDTH_FACTOR",
     "BrightSolitonParams",
     "ansatz",
     "rhs_full",
@@ -33,9 +32,6 @@ __all__ = [
     "effective_potential",
     "extract_center",
 ]
-
-# sech^2(2 eta y) < 1e-14 for |y| > 17/(2 eta)
-WINDOW_HALFWIDTH_FACTOR = 17.0
 
 
 @dataclass(frozen=True)

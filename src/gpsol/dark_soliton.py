@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError, ParameterError, RangeError
-from .grid_field import ComplexField, SpatialGrid, simpson, window_indices
+from .grid_field import (WINDOW_HALFWIDTH_FACTOR, ComplexField, SpatialGrid, simpson,
+                         window_indices)
 from .inhomogeneity import InhomogeneityProfile, closed_form_w, window_coefficients
 
 __all__ = [
-    "WINDOW_HALFWIDTH_FACTOR",
     "DarkSolitonParams",
     "DarkParticleState",
     "ansatz",
@@ -41,9 +41,6 @@ __all__ = [
     "extract_center",
     "default_background_probe",
 ]
-
-# sech^2 at 17 is ~7e-15, so the quadrature window is |x - x0| <= 17/B.
-WINDOW_HALFWIDTH_FACTOR = 17.0
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ input, which a BLAS product (@, np.dot) does not, and its sum does not
 depend on the thread count.  density owns re^2 + im^2 of a field sample
 (the field kernel keeps its own on its interior rows), window_indices owns
 the cut of an x-interval into a Simpson window (the quadratures' and the
-dark extractor's), and the derivative stencils live in pde_engine's
-kernel, the only place that uses them.
+dark extractor's) and WINDOW_HALFWIDTH_FACTOR their half-width in soliton
+widths, and the derivative stencils live in pde_engine's kernel.
 """
 
 from __future__ import annotations
@@ -27,9 +27,13 @@ __all__ = [
     "density",
     "simpson",
     "window_indices",
+    "WINDOW_HALFWIDTH_FACTOR",
 ]
 
 MIN_POINTS = 16
+
+# sech^2(17) ~ 7e-15: soliton windows are |x - x0| <= 17/B (dark), 17/(2 eta) (bright)
+WINDOW_HALFWIDTH_FACTOR = 17.0
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,9 @@ def window_indices(grid: SpatialGrid, lo: float, hi: float) -> tuple[int, int]:
     """Index range [i0, i1) of grid points inside [lo, hi].
 
     The count is forced odd (Simpson parity) by dropping the top point if
-    needed.  Raises RangeError when the interval sticks out past the
-    grid's first or last point, or holds fewer than three points.
+    needed, or the bottom one when the top is the grid's last point, which
+    stays.  Raises RangeError when the interval sticks out past the grid's
+    first or last point, or holds fewer than three points.
     """
     x = grid.x
     if lo < x[0] or hi > x[-1]:
@@ -139,7 +144,10 @@ def window_indices(grid: SpatialGrid, lo: float, hi: float) -> tuple[int, int]:
     i0 = int(x.searchsorted(lo, side="left"))
     i1 = int(x.searchsorted(hi, side="right"))
     if (i1 - i0) % 2 == 0:
-        i1 -= 1
+        if i1 == x.shape[0]:
+            i0 += 1
+        else:
+            i1 -= 1
     if i1 - i0 < 3:
         raise RangeError("window too narrow for quadrature on this grid")
     return i0, i1

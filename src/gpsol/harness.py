@@ -514,18 +514,17 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(record: RunRecord, path: str) -> None:
-    """Serialize the record; absent tiers leave their cells empty."""
+    """Serialize the record row by row; absent tiers leave their cells empty."""
     series = {column: record.centers[tier] for tier, column in _TIER_COLUMN.items()
               if tier in record.centers}
     series.update((column, record.deltas[tier]) for tier, column in _DELTA_COLUMN.items()
                   if tier in record.deltas)
     series.update((name, getattr(record, name)) for name in ("aux_pde", "aux_ode", "conserved")
                   if getattr(record, name) is not None)
-    lines = [CSV_HEADER]
-    for k in range(record.times.shape[0]):
-        cells = [_fmt(record.times[k])]
-        for column in _COLUMNS:
-            cells.append(_fmt(series[column][k]) if column in series else "")
-        lines.append(",".join(cells))
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(CSV_HEADER + "\n")
+        for k in range(record.times.shape[0]):
+            cells = [_fmt(record.times[k])]
+            for column in _COLUMNS:
+                cells.append(_fmt(series[column][k]) if column in series else "")
+            handle.write(",".join(cells) + "\n")

@@ -10,8 +10,9 @@ and a first-derivative term -coef(x) * du/dx with
 
     coef = sqrt(g) * d/dx (1/sqrt(g)).
 
-Every profile carries pointwise callables for g, 1/sqrt(g) and its first
-two derivatives, and each coefficient is one ratio of them.  For the
+A profile is its validity interval, C and D, and pointwise callables for
+1/sqrt(g) and its first two derivatives; g is 1/(1/sqrt(g))^2, derived and
+never supplied, and each coefficient is one ratio of the callables.  For the
 closed form g = 1/(D + C x)^2 (homogeneous: C = 0, g = 1/D^2) they are
 |w|, C sign(w) and zero in w = D + C x, so the ratios are bitwise C/w and
 zeros; generic profiles carry C = D = None, and the closed-form (Taylor)
@@ -50,20 +51,20 @@ class InhomogeneityProfile:
     x_lo/x_hi: validity interval; all evaluations must stay inside it
     C, D:      closed-form parameters of g = 1/(D + C x)^2, None for a
                generic profile
-    fn_*:      vectorized callables for g, 1/sqrt(g) and its derivatives
+    fn_*:      vectorized callables for 1/sqrt(g) and its two derivatives
     """
 
     x_lo: float
     x_hi: float
     C: float | None
     D: float | None
-    fn_g: Callable[[np.ndarray], np.ndarray]
     fn_inv_sqrt_g: Callable[[np.ndarray], np.ndarray]
     fn_d1_inv_sqrt_g: Callable[[np.ndarray], np.ndarray]
     fn_d2_inv_sqrt_g: Callable[[np.ndarray], np.ndarray]
 
     def g(self, x):
-        return self.fn_g(np.asarray(x, dtype=np.float64))
+        """1/(1/sqrt(g))^2, the one g derived from the profile."""
+        return 1.0 / np.square(self.inv_sqrt_g(x))
 
     def inv_sqrt_g(self, x):
         return self.fn_inv_sqrt_g(np.asarray(x, dtype=np.float64))
@@ -100,9 +101,13 @@ def closed_form_w(x, C: float | None, D: float | None):
     return float(w) if scalar else w
 
 
-def _require_positive_finite(g, what: str) -> None:
+def _checked(profile: InhomogeneityProfile, x, what: str) -> InhomogeneityProfile:
+    """The profile, once its derived g is positive and finite at the points x."""
+    with np.errstate(over="ignore", divide="ignore"):
+        g = profile.g(x)
     if not np.all(np.isfinite(g) & (g > 0.0)):
         raise ConfigurationError(f"{what} must be positive and finite")
+    return profile
 
 
 def make_inverse_square(C: float, D: float, grid: SpatialGrid) -> InhomogeneityProfile:
@@ -122,36 +127,31 @@ def make_inverse_square(C: float, D: float, grid: SpatialGrid) -> InhomogeneityP
             raise SingularityError(
                 f"profile singular at x = {x_sing:g}, inside [{grid.x_min}, {grid.x_max}]"
             )
-
-    def fn_g(x):
-        return 1.0 / np.square(closed_form_w(x, C, D))
-
-    with np.errstate(over="ignore", divide="ignore"):
-        _require_positive_finite(fn_g(np.array([grid.x_min, grid.x_max])),
-                                 f"g = 1/(D + C x)^2 with C = {C:g}, D = {D:g}")
-    return InhomogeneityProfile(
-        x_lo=grid.x_min, x_hi=grid.x_max, C=C, D=D, fn_g=fn_g,
+    profile = InhomogeneityProfile(
+        x_lo=grid.x_min, x_hi=grid.x_max, C=C, D=D,
         fn_inv_sqrt_g=lambda x: np.abs(closed_form_w(x, C, D)),
         fn_d1_inv_sqrt_g=lambda x: C * np.sign(closed_form_w(x, C, D)),
         fn_d2_inv_sqrt_g=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
     )
+    return _checked(profile, np.array([grid.x_min, grid.x_max]),
+                    f"g = 1/(D + C x)^2 with C = {C:g}, D = {D:g}")
 
 
 def make_generic(
-    fn_g: Callable,
     fn_inv_sqrt_g: Callable,
     fn_d1_inv_sqrt_g: Callable,
     fn_d2_inv_sqrt_g: Callable,
     x_lo: float,
     x_hi: float,
 ) -> InhomogeneityProfile:
-    """Profile from caller-supplied analytic callables.
+    """Profile from caller-supplied callables for 1/sqrt(g) and its derivatives.
 
-    All four callables are required and must be pointwise, since the
-    quadratures read windows of a whole-grid evaluation; positivity of g is
-    spot-checked on a coarse sample of the finite validity interval.
+    All three are required and must be pointwise, since the quadratures
+    read windows of a whole-grid evaluation; the derived g is spot-checked
+    positive and finite on a coarse sample of the finite validity interval,
+    so a 1/sqrt(g) that vanishes or over- or underflows there is rejected.
     """
-    for name, fn in (("fn_g", fn_g), ("fn_inv_sqrt_g", fn_inv_sqrt_g),
+    for name, fn in (("fn_inv_sqrt_g", fn_inv_sqrt_g),
                      ("fn_d1_inv_sqrt_g", fn_d1_inv_sqrt_g),
                      ("fn_d2_inv_sqrt_g", fn_d2_inv_sqrt_g)):
         if not callable(fn):
@@ -161,13 +161,11 @@ def make_generic(
     if not (np.isfinite(x_lo) and np.isfinite(x_hi) and x_hi > x_lo):
         raise ConfigurationError(
             f"generic profile needs a finite interval x_lo < x_hi, got [{x_lo}, {x_hi}]")
-    probe = np.linspace(x_lo, x_hi, 33)
-    _require_positive_finite(np.asarray(fn_g(probe), dtype=np.float64), "generic profile")
-    return InhomogeneityProfile(
-        x_lo=x_lo, x_hi=x_hi, C=None, D=None,
-        fn_g=fn_g, fn_inv_sqrt_g=fn_inv_sqrt_g,
+    profile = InhomogeneityProfile(
+        x_lo=x_lo, x_hi=x_hi, C=None, D=None, fn_inv_sqrt_g=fn_inv_sqrt_g,
         fn_d1_inv_sqrt_g=fn_d1_inv_sqrt_g, fn_d2_inv_sqrt_g=fn_d2_inv_sqrt_g,
     )
+    return _checked(profile, np.linspace(x_lo, x_hi, 33), "generic profile g")
 
 
 @lru_cache(maxsize=8)

@@ -2,10 +2,15 @@
 
 The field-equation runs dominate the suite's wall time, so every
 configuration the acceptance tests need is built exactly once per session
-and shared.  Unit tests use much smaller grids and never touch these.
+and shared, in parallel where the process may use more than one core.
+Unit tests use much smaller grids and never touch these.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -36,19 +41,36 @@ RUN_SPECS = {
                        tiers=("pde", "ode-full", "eom")),
 }
 
-_run_cache: dict[str, object] = {}
-
 
 @pytest.fixture(scope="session")
 def shared_run():
-    """Callable fixture: shared_run(name) -> cached RunRecord."""
+    """Callable fixture: shared_run(name) -> the RunRecord of RUN_SPECS[name].
 
-    def get(name: str):
-        if name not in _run_cache:
-            _run_cache[name] = run_experiment(ExperimentConfig(**RUN_SPECS[name]))
-        return _run_cache[name]
+    With more than one core available to the process, the first request
+    submits every run, longest first (most field steps), to a pool of one
+    worker process per core, and each request waits for its own run only.
+    On one core each run is computed in turn at its first request.  A run
+    that fails raises at every request for it.
+    """
+    configs = {name: ExperimentConfig(**spec) for name, spec in RUN_SPECS.items()}
+    workers = min(len(os.sched_getaffinity(0)), len(configs))
+    if workers == 1:
+        cache = {}
 
-    return get
+        def get(name: str):
+            if name not in cache:
+                cache[name] = run_experiment(configs[name])
+            return cache[name]
+
+        yield get
+        return
+    longest_first = sorted(configs, key=lambda name: -configs[name].t_max / configs[name].dt_pde)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        runs = {name: pool.submit(run_experiment, configs[name]) for name in longest_first}
+        yield lambda name: runs[name].result()
+    finally:  # a session that ends early does not wait for runs not yet started
+        pool.shutdown(cancel_futures=True)
 
 
 @pytest.fixture(scope="session")

@@ -66,7 +66,6 @@ def _cosine_profile(x_lo, x_hi):
     k = 2.0 * np.pi / 60.0
     h = lambda x: 1.0 + 0.1 * np.cos(k * np.asarray(x))
     return make_generic(
-        fn_g=lambda x: 1.0 / h(x) ** 2,
         fn_inv_sqrt_g=h,
         fn_d1_inv_sqrt_g=lambda x: -0.1 * k * np.sin(k * np.asarray(x)),
         fn_d2_inv_sqrt_g=lambda x: -0.1 * k * k * np.cos(k * np.asarray(x)),

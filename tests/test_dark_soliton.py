@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from gpsol.errors import ExtractionError, ParameterError, RangeError
-from gpsol.grid_field import build_grid, density, simpson, window_indices
+from gpsol.grid_field import (WINDOW_HALFWIDTH_FACTOR, build_grid, density, simpson,
+                              window_indices)
 from gpsol.inhomogeneity import make_generic, make_inverse_square
 from gpsol.ode_engine import OdeSystem, rk4_integrate
 from gpsol import dark_soliton as dark
@@ -70,7 +71,6 @@ def _cosine_profile(x_lo, x_hi):
     k = 2.0 * np.pi / 60.0
     h = lambda x: 1.0 + 0.1 * np.cos(k * np.asarray(x))
     return make_generic(
-        fn_g=lambda x: 1.0 / h(x) ** 2,
         fn_inv_sqrt_g=h,
         fn_d1_inv_sqrt_g=lambda x: -0.1 * k * np.sin(k * np.asarray(x)),
         fn_d2_inv_sqrt_g=lambda x: -0.1 * k * k * np.cos(k * np.asarray(x)),
@@ -257,12 +257,16 @@ def test_extract_center_failures(grid):
 
 
 def _old_window(n, dx, j_min, half):
-    # the extractor's own index rule before it cut its window by window_indices
+    # the extractor's own index rule before it cut its window by
+    # window_indices, with the cut that keeps the grid's last point
     i0 = max(0, j_min - int(half / dx))
     i1 = min(n, j_min + int(half / dx) + 1)
     if (i1 - i0) % 2 == 0:
         if i1 - i0 > 3:
-            i1 -= 1
+            if i1 == n:
+                i0 += 1
+            else:
+                i1 -= 1
         elif i0 > 0:
             i0 -= 1
         else:
@@ -291,16 +295,27 @@ def test_extract_center_window_equals_the_index_rule(monkeypatch):
         dens = 1.0 - (17.0 / half) ** 2 * np.exp(-(grid.x - grid.x[j_min]) ** 2)
         probe = grid.x_max if j_min < n // 2 else grid.x_min
         # the extractor's own half-width, which rounds as the test's may not
-        half = dark.WINDOW_HALFWIDTH_FACTOR / np.sqrt(1.0 - dens[j_min])
-        try:
-            dark.extract_center(dens, grid, probe)
-        except ExtractionError:  # the parity cut can drop a dip on the last point
-            pass
+        half = WINDOW_HALFWIDTH_FACTOR / np.sqrt(1.0 - dens[j_min])
+        dark.extract_center(dens, grid, probe)
         assert cut[-1] == _old_window(n, grid.dx, j_min, half)
         m = int(half / grid.dx)
         left, right = j_min < m, j_min + m >= n
         clipped["both" if left and right else "left" if left else "right"] += left or right
     assert min(clipped.values()) > 100
+
+
+def test_extract_center_keeps_a_dip_on_the_last_grid_point():
+    # dx = 15.4 and a shallow dip: the window [x_dip - 240, x_max] is
+    # clipped at the top and holds an even count, and its parity cut must
+    # not drop the dip, the grid's last point
+    grid = build_grid(-200.0, 200.0, 27)
+    dens = np.ones(27)
+    dens[26] = 0.995
+    assert dark.extract_center(dens, grid, grid.x[0]) == pytest.approx(200.0, abs=1e-12)
+    # one point in, the top point goes as before and the dip stays
+    dens = np.ones(27)
+    dens[25] = 0.995
+    assert dark.extract_center(dens, grid, grid.x[0]) == pytest.approx(grid.x[25], abs=1e-12)
 
 
 def test_default_background_probe(grid):

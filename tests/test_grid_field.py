@@ -102,6 +102,10 @@ def test_window_indices_forces_odd_count():
     x = g.x[i0:i1]
     assert np.all(x >= 3.75 - 1e-12)
     assert np.all(x <= 6.25 + 1e-12)
+    # [3.25, 10] holds points 7..20: the bottom point goes, the grid's last stays
+    assert window_indices(g, 3.25, 10.0) == (8, 21)
+    # short of the last point, [3.25, 9] holds 7..18 and the top one goes
+    assert window_indices(g, 3.25, 9.0) == (7, 18)
 
 
 ODD_LENGTHS = st.integers(1, 600).map(lambda k: 2 * k + 1)  # 3 .. 1201
@@ -157,8 +161,11 @@ def test_window_indices_odd_inside_grid_and_equal_to_searchsorted(
         return
     i0 = int(np.searchsorted(g.x, lo, side="left"))
     i1 = int(np.searchsorted(g.x, hi, side="right"))
-    if (i1 - i0) % 2 == 0:
-        i1 -= 1
+    if (i1 - i0) % 2 == 0:  # the grid's last point is never the one dropped
+        if i1 == g.n_points:
+            i0 += 1
+        else:
+            i1 -= 1
     if i1 - i0 < 3:
         with pytest.raises(RangeError):
             window_indices(g, lo, hi)

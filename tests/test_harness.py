@@ -210,6 +210,33 @@ def test_write_csv_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _full_record(n_rows):
+    # every one of the twelve columns filled
+    times = np.linspace(0.0, 100.0, n_rows)
+    centers = {tier: times * (k + 1) for k, tier in
+               enumerate(("pde", "ode-full", "ode-taylor", "eom", "eom-a"))}
+    return RunRecord(times=times, centers=centers, aux_pde=times + 0.5, aux_ode=times + 0.25,
+                     conserved=times + 2.0,
+                     deltas={tier: centers[tier] - centers["pde"]
+                             for tier in ("ode-full", "eom", "eom-a")})
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    peaks = []
+    for n_rows in (10_001, 40_001):
+        record = _full_record(n_rows)
+        path = tmp_path / f"{n_rows}.csv"
+        tracemalloc.start()
+        try:
+            write_csv(record, str(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        lines = path.read_text().splitlines()
+        assert len(lines) == n_rows + 1 and "" not in lines[-1].split(",")
+    assert peaks[1] - peaks[0] < 1e6
+
+
 def test_record_length_validation():
     times = np.array([0.0, 0.05, 0.1])
     with pytest.raises(ConfigurationError):

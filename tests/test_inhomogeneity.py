@@ -12,6 +12,7 @@ from gpsol.harness import ExperimentConfig, run_experiment
 from gpsol.inhomogeneity import (
     InhomogeneityProfile,
     closed_form_w,
+    coefficient_tables,
     make_generic,
     make_inverse_square,
     window_coefficients,
@@ -74,6 +75,11 @@ def test_closed_form_coefficients_are_bitwise_c_over_w(C, D):
     # bits included; C = 0 is the homogeneous profile, g = 1/D^2
     small = build_grid(7.0, 9.0, 17)
     p = make_inverse_square(C, D, small)
+    # the tables on the grid it was built for: g derived from |w| is 1/w^2
+    g, adv, pot = coefficient_tables(p, small)
+    w = D + C * small.x
+    assert np.array_equal(_bits(g), _bits(1.0 / (w * w)))
+    assert np.array_equal(_bits(adv), _bits(C / w)) and pot is None
     for x in (build_grid(-150.0, 150.0, 4097).x, 0.0, -0.0, 12.5, -140.0):
         x = np.asarray(x, dtype=np.float64)
         w = D + C * x
@@ -90,13 +96,15 @@ def test_generic_profile_matches_closed_forms():
     # coefficients are -x/2 and x^2/4 - 1/2 in closed form.
     h = lambda x: np.exp(-0.25 * np.asarray(x) ** 2)
     p = make_generic(
-        fn_g=lambda x: np.exp(0.5 * np.asarray(x) ** 2),
         fn_inv_sqrt_g=h,
         fn_d1_inv_sqrt_g=lambda x: -0.5 * np.asarray(x) * h(x),
         fn_d2_inv_sqrt_g=lambda x: (0.25 * np.asarray(x) ** 2 - 0.5) * h(x),
         x_lo=-6.0, x_hi=6.0,
     )
     x = np.linspace(-5.0, 5.0, 41)
+    # g is derived from 1/sqrt(g), never supplied
+    assert np.array_equal(_bits(p.g(x)), _bits(1.0 / np.square(h(x))))
+    assert np.max(np.abs(p.g(x) / np.exp(0.5 * x * x) - 1.0)) < 1e-13
     assert np.max(np.abs(p.advection_coef(x) + 0.5 * x)) < 1e-13
     assert np.max(np.abs(p.potential_coef(x) - (0.25 * x * x - 0.5))) < 1e-13
 
@@ -104,16 +112,20 @@ def test_generic_profile_matches_closed_forms():
 def test_generic_profile_validation():
     ones = lambda x: np.ones_like(np.asarray(x, dtype=np.float64))
     with pytest.raises(ConfigurationError):
-        make_generic(ones, ones, ones, "not-callable", -1.0, 1.0)
+        make_generic(ones, ones, "not-callable", -1.0, 1.0)
     with pytest.raises(ConfigurationError):
-        make_generic(ones, ones, ones, ones, 1.0, -1.0)
-    negative = lambda x: -ones(x)
-    with pytest.raises(ConfigurationError):
-        make_generic(negative, ones, ones, ones, -1.0, 1.0)
+        make_generic(ones, ones, ones, 1.0, -1.0)
+    # a 1/sqrt(g) that vanishes at the probe point x = 0 (g = inf), or one
+    # so large or so small that g under- or overflows, is rejected, and no
+    # numpy warning is let through (tests turn them into errors)
+    for inv_sqrt_g in (lambda x: np.asarray(x, dtype=np.float64),
+                       lambda x: 1e200 * ones(x), lambda x: 1e-170 * ones(x)):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            make_generic(inv_sqrt_g, ones, ones, -1.0, 1.0)
     # an infinite interval cannot be probed: named, and no numpy warning
     for x_lo, x_hi in ((-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0)):
         with pytest.raises(ConfigurationError, match=r"finite interval .*\[.*inf"):
-            make_generic(ones, ones, ones, ones, x_lo, x_hi)
+            make_generic(ones, ones, ones, x_lo, x_hi)
 
 
 def _cosine_profile(x_lo, x_hi):
@@ -121,7 +133,6 @@ def _cosine_profile(x_lo, x_hi):
     k = 2.0 * np.pi / 60.0
     h = lambda x: 1.0 + 0.1 * np.cos(k * np.asarray(x))
     return make_generic(
-        fn_g=lambda x: 1.0 / h(x) ** 2,
         fn_inv_sqrt_g=h,
         fn_d1_inv_sqrt_g=lambda x: -0.1 * k * np.sin(k * np.asarray(x)),
         fn_d2_inv_sqrt_g=lambda x: -0.1 * k * k * np.cos(k * np.asarray(x)),
@@ -174,7 +185,6 @@ def test_each_profile_object_is_tabulated_once(monkeypatch):
 def _linear_generic():
     # 1/sqrt(g) = 1 + x/100 supplied as generic callables: zero curvature
     return make_generic(
-        fn_g=lambda x: 1.0 / (1.0 + np.asarray(x) / 100.0) ** 2,
         fn_inv_sqrt_g=lambda x: 1.0 + np.asarray(x) / 100.0,
         fn_d1_inv_sqrt_g=lambda x: np.full_like(np.asarray(x, dtype=np.float64), 0.01),
         fn_d2_inv_sqrt_g=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
@@ -227,8 +237,7 @@ def test_dark_field_run_tabulates_its_profile_once(monkeypatch):
 def test_profiles_built_alike_are_distinct_cache_keys():
     grid = build_grid(-60.0, 60.0, 1201)
     h = lambda x: 1.0 + 0.1 * np.cos(np.asarray(x))
-    fns = (lambda x: 1.0 / h(x) ** 2, h, lambda x: -0.1 * np.sin(np.asarray(x)),
-           lambda x: -0.1 * np.cos(np.asarray(x)))
+    fns = (h, lambda x: -0.1 * np.sin(np.asarray(x)), lambda x: -0.1 * np.cos(np.asarray(x)))
     first, second = (make_generic(*fns, -60.0, 60.0) for _ in range(2))
     assert first != second and hash(first) != hash(second)
     first_tables = inhomogeneity.coefficient_tables(first, grid)

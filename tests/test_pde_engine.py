@@ -142,7 +142,6 @@ def _retired_homogeneous(g_const):
     D = float(1.0 / np.sqrt(g_const))
     return InhomogeneityProfile(
         x_lo=-np.inf, x_hi=np.inf, C=0.0, D=D,
-        fn_g=lambda x: np.full_like(np.asarray(x, dtype=np.float64), g_const),
         fn_inv_sqrt_g=lambda x: np.abs(closed_form_w(x, 0.0, D)),
         fn_d1_inv_sqrt_g=lambda x: 0.0 * np.sign(closed_form_w(x, 0.0, D)),
         fn_d2_inv_sqrt_g=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
@@ -390,7 +389,6 @@ def _equality_profile(kind, grid):
     # 1/sqrt(g) = 1 + 0.05 cos(x/3): both the advection and the V_eff term are on
     h = lambda x: 1.0 + 0.05 * np.cos(np.asarray(x) / 3.0)
     return make_generic(
-        fn_g=lambda x: 1.0 / h(x) ** 2,
         fn_inv_sqrt_g=h,
         fn_d1_inv_sqrt_g=lambda x: -0.05 / 3.0 * np.sin(np.asarray(x) / 3.0),
         fn_d2_inv_sqrt_g=lambda x: -0.05 / 9.0 * np.cos(np.asarray(x) / 3.0),
