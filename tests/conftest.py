@@ -46,26 +46,15 @@ RUN_SPECS = {
 def shared_run():
     """Callable fixture: shared_run(name) -> the RunRecord of RUN_SPECS[name].
 
-    With more than one core available to the process, the first request
-    submits every run, longest first (most field steps), to a pool of one
-    worker process per core, and each request waits for its own run only.
-    On one core each run is computed in turn at its first request.  A run
-    that fails raises at every request for it.
+    The first request submits every run, longest first (most field steps),
+    to a pool of one worker process per core available to the process, so
+    on one core they run in turn.  Each request waits for its own run
+    only.  A run that fails raises at every request for it.
     """
     configs = {name: ExperimentConfig(**spec) for name, spec in RUN_SPECS.items()}
-    workers = min(len(os.sched_getaffinity(0)), len(configs))
-    if workers == 1:
-        cache = {}
-
-        def get(name: str):
-            if name not in cache:
-                cache[name] = run_experiment(configs[name])
-            return cache[name]
-
-        yield get
-        return
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     longest_first = sorted(configs, key=lambda name: -configs[name].t_max / configs[name].dt_pde)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    pool = ProcessPoolExecutor(min(cores, len(configs)), mp_context=multiprocessing.get_context("spawn"))
     try:
         runs = {name: pool.submit(run_experiment, configs[name]) for name in longest_first}
         yield lambda name: runs[name].result()
