@@ -9,7 +9,7 @@ Subcommands:
 Exit codes: 0 success, 1 I/O failure, 2 bad configuration, 3 numerical
 failure (instability, range or extraction breakdown), 4 singular profile
 inside the domain.  A run whose field norm drifted past its tolerance
-prints one warning line to stderr and keeps its exit code and CSV.
+prints a warning line with the drift to stderr; its exit code and CSV stay.
 """
 
 from __future__ import annotations
@@ -89,8 +89,9 @@ def _write(record, path: str) -> None:
     write_csv(record, path)
     print(f"wrote {path} ({record.times.shape[0]} rows)")
     if record.norm_drift_warning:
-        print(f"warning: {path}: the field's conserved norm drifted by more than "
-              f"{pde_engine.NORM_DRIFT_TOL:g} relative", file=sys.stderr)
+        print(f"warning: {path}: the field's conserved norm drifted by "
+              f"{pde_engine.norm_drift(record.conserved):.3e} relative, more than "
+              f"{pde_engine.NORM_DRIFT_TOL:g}", file=sys.stderr)
 
 
 def _cmd_validate() -> int:

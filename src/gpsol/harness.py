@@ -9,9 +9,9 @@ A run evolves one soliton with some subset of the model tiers
   eom-a       small-velocity Newtonian equation (dark only)
 
 and records every tier's center on a shared lab-time axis, auxiliary
-amplitude diagnostics, the PDE conserved norm, and per-tier differences
-against the PDE center.  Records serialize to CSV with a fixed column
-schema so identical configs produce byte-identical files.
+amplitude diagnostics and the PDE conserved norm, from which a record
+derives its differences against the PDE center and its norm drift flag.
+Records serialize to CSV in a fixed column schema, byte-identical per config.
 
 The pde tier reads each field sample while the field marches (evolve's
 on_sample consumer) and keeps no snapshot, so a run's field memory is
@@ -52,6 +52,7 @@ import numpy as np
 
 from . import bright_soliton as bright
 from . import dark_soliton as dark
+from . import pde_engine
 from .errors import ConfigurationError, ParameterError, RangeError
 from .grid_field import SpatialGrid, build_grid, density, simpson
 from .inhomogeneity import InhomogeneityProfile, make_inverse_square
@@ -279,19 +280,26 @@ class RunRecord:
     aux_pde: np.ndarray | None
     aux_ode: np.ndarray | None
     conserved: np.ndarray | None
-    deltas: dict[str, np.ndarray]
-    # the field norm drifted beyond evolve's tolerance; None without the pde tier
-    norm_drift_warning: bool | None = None
+    # derived, never supplied: each delta-column tier's center minus the pde's
+    deltas: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         n = self.times.shape[0]
-        for name, series in list(self.centers.items()) + list(self.deltas.items()):
+        for name, series in self.centers.items():
             if series.shape[0] != n:
                 raise ConfigurationError(f"series {name!r} is off the time axis")
         for name in ("aux_pde", "aux_ode", "conserved"):
             series = getattr(self, name)
             if series is not None and series.shape[0] != n:
                 raise ConfigurationError(f"series {name!r} is off the time axis")
+        self.deltas = {tier: self.centers[tier] - self.centers["pde"] for tier in _DELTA_COLUMN
+                       if tier in self.centers and "pde" in self.centers}
+
+    @property
+    def norm_drift_warning(self) -> bool | None:
+        """The field norm drifted beyond pde_engine.NORM_DRIFT_TOL; None without it."""
+        return None if self.conserved is None else (
+            pde_engine.norm_drift(self.conserved) > pde_engine.NORM_DRIFT_TOL)
 
 
 def _state_params(y, config):
@@ -404,7 +412,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     bounded by n_points, not by t_max.  It raises RangeError at the first
     sample whose center comes within EDGE_MARGIN of a grid edge, so a
     crossing that precedes a blow-up raises RangeError, not
-    InstabilityError; the record keeps the field's norm drift flag.
+    InstabilityError.
     Parameter-ODE and EOM tiers integrate with the predictor-corrector at
     dt_ode, one stacked system in the mode's frame; bright tiers run in the
     half-rate frame tau = t/2 and are resampled onto the lab axis.  A dt_pde
@@ -419,9 +427,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     centers, amplitude = _reduced_tiers(config, profile, grid)
 
-    aux_pde = None
-    conserved = None
-    drift_warning = None
+    aux_pde = conserved = None
     if "pde" in config.tiers:
         soliton = _SOLITON[config.mode](config)
         if config.mode == "dark":
@@ -454,23 +460,13 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
         # sample 0 here, the rest as the field marches: no snapshot is kept
         take(0, field0.values, density(field0.values))
-        trajectory = evolve(problem, field0, 0.0, config.t_max, config.dt_pde,
-                            config.sample_interval, stepper=config.stepper,
-                            on_sample=take)
+        conserved = evolve(problem, field0, 0.0, config.t_max, config.dt_pde,
+                           config.sample_interval, stepper=config.stepper,
+                           on_sample=take).conserved
         centers["pde"] = pde_centers
-        conserved = trajectory.conserved
-        drift_warning = trajectory.norm_drift_warning
-
-    deltas: dict[str, np.ndarray] = {}
-    if "pde" in centers:
-        for tier in _DELTA_COLUMN:
-            if tier in centers:
-                deltas[tier] = centers[tier] - centers["pde"]
 
     return RunRecord(times=times, centers=centers,
-                     aux_pde=aux_pde, aux_ode=amplitude,
-                     conserved=conserved, deltas=deltas,
-                     norm_drift_warning=drift_warning)
+                     aux_pde=aux_pde, aux_ode=amplitude, conserved=conserved)
 
 
 _PRESETS = {

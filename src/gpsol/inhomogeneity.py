@@ -102,11 +102,15 @@ def closed_form_w(x, C: float | None, D: float | None):
 
 
 def _checked(profile: InhomogeneityProfile, x, what: str) -> InhomogeneityProfile:
-    """The profile, once its derived g is positive and finite at the points x."""
+    """The profile, once g is positive and finite and 1/sqrt(g) of one sign at x."""
     with np.errstate(over="ignore", divide="ignore"):
         g = profile.g(x)
     if not np.all(np.isfinite(g) & (g > 0.0)):
         raise ConfigurationError(f"{what} must be positive and finite")
+    # nonzero here, so a sign change puts a zero (g infinite) between two points
+    inv_sqrt_g = profile.inv_sqrt_g(x)
+    if np.any(inv_sqrt_g > 0.0) and np.any(inv_sqrt_g < 0.0):
+        raise ConfigurationError(f"{what}: 1/sqrt(g) must keep one sign")
     return profile
 
 
@@ -147,9 +151,9 @@ def make_generic(
     """Profile from caller-supplied callables for 1/sqrt(g) and its derivatives.
 
     All three are required and must be pointwise, since the quadratures
-    read windows of a whole-grid evaluation; the derived g is spot-checked
-    positive and finite on a coarse sample of the finite validity interval,
-    so a 1/sqrt(g) that vanishes or over- or underflows there is rejected.
+    read windows of a whole-grid evaluation.  On a coarse sample of the finite
+    validity interval a 1/sqrt(g) that vanishes, changes sign (either sign
+    alone is valid) or makes g over- or underflow there is rejected.
     """
     for name, fn in (("fn_inv_sqrt_g", fn_inv_sqrt_g),
                      ("fn_d1_inv_sqrt_g", fn_d1_inv_sqrt_g),

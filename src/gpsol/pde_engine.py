@@ -9,7 +9,8 @@ Variants (all first order in time, written for the time derivative):
 with P[u] = V_eff u - coef du/dx from the inhomogeneity profile.  The
 kernel and the norm read g, coef and V_eff from coefficient_tables, as the
 rhs_full quadratures do; EvolutionProblem only validates (variant, profile,
-grid, s).  Space is discretized with fourth-order central five-point
+grid, s), and only original-psi takes the sign s: each transformed equation
+fixes its own.  Space is discretized with fourth-order central five-point
 stencils, the program's only derivative stencils; the two outermost points
 on each side are clamped to their initial values (their time derivative is
 forced to zero), which doubles as the boundary condition.
@@ -45,6 +46,7 @@ and dens valid only during the call.  The default consumer stores each
 sample as a row of PdeTrajectory.fields, so that array grows with t_end.
 A caller that passes its own consumer gets no snapshots (fields has zero
 rows), and the field memory of the run stays bounded by the grid size.
+norm_drift is the one relative drift of a conserved series.
 """
 
 from __future__ import annotations
@@ -67,15 +69,14 @@ __all__ = [
     "PdeTrajectory",
     "check_time_step",
     "evolve",
+    "norm_drift",
 ]
 
 VARIANTS = ("original-psi", "transformed-bright", "transformed-dark-rotated")
 # dt <= STABILITY_FACTORS[stepper] * dx^2; see the module docstring
 STABILITY_FACTORS = {"rk4": 0.4, "abm4": 0.34}
 STEPPERS = tuple(STABILITY_FACTORS)
-NORM_DRIFT_TOL = 1e-6  # relative drift of the norm past which evolve warns
-
-_VARIANT_S = {"transformed-bright": -1, "transformed-dark-rotated": +1}
+NORM_DRIFT_TOL = 1e-6  # relative drift of the norm past which a run warns
 
 
 @dataclass
@@ -95,14 +96,8 @@ class EvolutionProblem:
         if self.variant == "original-psi":
             if self.s not in (-1, 1):
                 raise ConfigurationError("original-psi needs s = +1 or -1")
-        else:
-            implied = _VARIANT_S[self.variant]
-            if self.s is None:
-                self.s = implied
-            elif self.s != implied:
-                raise ConfigurationError(
-                    f"{self.variant} implies s = {implied}, got {self.s}"
-                )
+        elif self.s is not None:
+            raise ConfigurationError(f"{self.variant} fixes its own sign; s is not taken")
 
 
 # Fourth-order five-point stencils on u[k:k+m], k = 0..4: 12 dx^2 u'' and
@@ -189,6 +184,13 @@ def _norm(dens: np.ndarray, dx: float, inv_g: np.ndarray | None,
     return simpson(dens, dx)
 
 
+def norm_drift(conserved: np.ndarray) -> float:
+    """Relative drift max|c - c0|/|c0| of a conserved series; absolute where c0 ~ 0."""
+    c0 = float(conserved[0])
+    scale = abs(c0) if abs(c0) > 1e-300 else 1.0
+    return float(np.max(np.abs(conserved - c0))) / scale
+
+
 @dataclass
 class PdeTrajectory:
     """Sample times and conserved values, plus the field snapshots if stored.
@@ -200,12 +202,16 @@ class PdeTrajectory:
     times: np.ndarray
     fields: np.ndarray
     conserved: np.ndarray
-    norm_drift_warning: bool = False
 
     def __post_init__(self):
         ns = self.times.shape[0]
         if self.fields.shape[0] not in (ns, 0) or self.conserved.shape[0] != ns:
             raise ConfigurationError("trajectory arrays disagree in length")
+
+    @property
+    def norm_drift_warning(self) -> bool:
+        """The conserved norm drifted beyond NORM_DRIFT_TOL, read at each call."""
+        return norm_drift(self.conserved) > NORM_DRIFT_TOL
 
 
 def check_time_step(dt: float, grid: SpatialGrid, stepper: str) -> None:
@@ -237,8 +243,8 @@ def evolve(
 
     The step count (t_end - t0)/dt must be an integer multiple of
     sample_every.  Non-finite samples abort with InstabilityError carrying
-    the detection time; a relative drift of the conserved norm beyond
-    NORM_DRIFT_TOL sets the trajectory's warning flag.
+    the detection time.  The trajectory derives its warning flag from its
+    conserved series (a relative drift beyond NORM_DRIFT_TOL).
 
     Without on_sample every sample, the initial one included, is stored in
     the trajectory's fields.  With it, on_sample(j, u, dens) receives
@@ -284,13 +290,4 @@ def evolve(
     # on pde_engine.rk4_step is the step that runs
     step = rk4_step if stepper == "rk4" else abm4_step
     march(step, _rhs_kernel(problem), u, t0, dt, n_steps, sample_every, record)
-
-    c0 = conserved[0]
-    scale = abs(c0) if abs(c0) > 1e-300 else 1.0
-    drift = float(np.max(np.abs(conserved - c0))) / scale
-    return PdeTrajectory(
-        times=times,
-        fields=fields,
-        conserved=conserved,
-        norm_drift_warning=bool(drift > NORM_DRIFT_TOL),
-    )
+    return PdeTrajectory(times=times, fields=fields, conserved=conserved)

@@ -15,7 +15,7 @@ from . import dark_soliton as dark
 from .grid_field import build_grid, simpson
 from .inhomogeneity import make_inverse_square
 from .ode_engine import OdeSystem, abm4_integrate, rk4_integrate
-from .pde_engine import EvolutionProblem, _rhs_kernel, evolve
+from .pde_engine import EvolutionProblem, _rhs_kernel, evolve, norm_drift
 
 __all__ = ["run_all"]
 
@@ -172,7 +172,7 @@ def _check_pde_conservation():
     field0 = dark.ansatz(dark.DarkSolitonParams(A=0.25, x0=0.0), g)
     dt = 2e-3
     traj = evolve(problem, field0, 0.0, 1.0, dt, 100)
-    drift = np.max(np.abs(traj.conserved - traj.conserved[0])) / traj.conserved[0]
+    drift = norm_drift(traj.conserved)
     return drift <= 1e-6, f"short dark PDE norm drift {drift:.2e}"
 
 

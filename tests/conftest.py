@@ -63,11 +63,13 @@ def shared_run():
 
 
 @pytest.fixture(scope="session")
-def frame_pair():
+def frame_pair(shared_run):
     """Bright soliton evolved in both frames on the reference grid.
 
     Returns (grid, profile, psi_trajectory, u_trajectory) for eta=0.5,
-    xi=0.25 over t in [0, 10], sampled every 0.5.
+    xi=0.25 over t in [0, 10], sampled every 0.5.  It requests shared_run
+    so that the pool of shared runs is busy while this process computes
+    these two runs, instead of starting after them.
     """
     grid = build_grid(-150.0, 150.0, 4097)
     profile = make_inverse_square(1.0, -200.0, grid)

@@ -120,20 +120,32 @@ def test_run_warns_once_when_the_field_norm_drifts(tmp_path, capsys, monkeypatch
     assert cli.main(["run", "--config", str(cfg), "--out", str(quiet)]) == 0
     assert "warning" not in capsys.readouterr().err
     monkeypatch.setattr(gpsol.pde_engine, "NORM_DRIFT_TOL", 0.0)
+    records = []
+
+    def kept(config):
+        records.append(gpsol.harness.run_experiment(config))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", kept)
     assert cli.main(["run", "--config", str(cfg), "--out", str(loud)]) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"warning: {loud}: ")
+    # the line names the drift, read from its one owner, and the tolerance
+    drift = gpsol.pde_engine.norm_drift(records[0].conserved)
+    assert drift > 0.0
+    assert err[0].endswith(f"drifted by {drift:.3e} relative, more than 0")
     assert loud.read_bytes() == quiet.read_bytes()
 
 
 def test_scenario_warns_for_each_drifted_record(tmp_path, capsys, monkeypatch):
     def drifted(config):
-        return dataclasses.replace(_canned_record(config), norm_drift_warning=True)
+        return dataclasses.replace(_canned_record(config), conserved=np.array([1.0, 1.0, 1.5]))
 
     monkeypatch.setattr(cli, "run_experiment", drifted)
     assert cli.main(["scenario", "dark-accel", "--out-dir", str(tmp_path)]) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(line.startswith("warning: ") for line in err)
+    assert all("drifted by 5.000e-01 relative" in line for line in err)
 
 
 def test_run_rejects_over_bound_dt_pde_before_any_tier(tmp_path, capsys, monkeypatch):
@@ -173,7 +185,7 @@ def test_run_reports_range_breakdown(tmp_path, capsys, monkeypatch):
 def _canned_record(config):
     times = np.array([0.0, 0.05, 0.1])
     return RunRecord(times=times, centers={"ode-full": np.zeros(3)}, aux_pde=None,
-                     aux_ode=None, conserved=None, deltas={})
+                     aux_ode=None, conserved=None)
 
 
 def test_scenario_subcommand(tmp_path, capsys, monkeypatch):

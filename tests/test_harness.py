@@ -188,7 +188,7 @@ def _tiny_record():
     centers = {"ode-full": np.array([0.0, 0.0125, 0.025])}
     aux = np.array([0.25, 0.2499, 0.2498])
     return RunRecord(times=times, centers=centers,
-                     aux_pde=None, aux_ode=aux, conserved=None, deltas={})
+                     aux_pde=None, aux_ode=aux, conserved=None)
 
 
 def test_write_csv_golden(tmp_path):
@@ -216,9 +216,7 @@ def _full_record(n_rows):
     centers = {tier: times * (k + 1) for k, tier in
                enumerate(("pde", "ode-full", "ode-taylor", "eom", "eom-a"))}
     return RunRecord(times=times, centers=centers, aux_pde=times + 0.5, aux_ode=times + 0.25,
-                     conserved=times + 2.0,
-                     deltas={tier: centers[tier] - centers["pde"]
-                             for tier in ("ode-full", "eom", "eom-a")})
+                     conserved=times + 2.0)
 
 
 def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
@@ -241,10 +239,38 @@ def test_record_length_validation():
     times = np.array([0.0, 0.05, 0.1])
     with pytest.raises(ConfigurationError):
         RunRecord(times=times, centers={"ode-full": np.zeros(2)}, aux_pde=None,
-                  aux_ode=None, conserved=None, deltas={})
+                  aux_ode=None, conserved=None)
     with pytest.raises(ConfigurationError):
         RunRecord(times=times, centers={}, aux_pde=np.zeros(5),
-                  aux_ode=None, conserved=None, deltas={})
+                  aux_ode=None, conserved=None)
+
+
+def test_record_derives_its_deltas_and_drift_flag(monkeypatch):
+    times = np.array([0.0, 0.1])
+    centers = {"pde": np.array([0.0, 1.0]), "ode-full": np.array([0.1, 1.5]),
+               "ode-taylor": np.array([0.3, 0.7]), "eom": np.array([-0.2, 0.9])}
+    rec = RunRecord(times=times, centers=centers, aux_pde=None, aux_ode=None,
+                    conserved=np.array([1.0, 1.5]))
+    # bitwise each delta-column tier's center minus the pde's; ode-taylor has no column
+    assert list(rec.deltas) == ["ode-full", "eom"]
+    for tier, series in rec.deltas.items():
+        assert np.array_equal(series, centers[tier] - centers["pde"])
+    assert rec.norm_drift_warning is True  # a 50% drift
+    steady = RunRecord(times=times, centers=centers, aux_pde=None, aux_ode=None,
+                       conserved=np.array([1.0, 1.0 + 1e-7]))
+    assert steady.norm_drift_warning is False
+    # the tolerance is read at each call
+    monkeypatch.setattr(pde_engine, "NORM_DRIFT_TOL", 0.0)
+    assert steady.norm_drift_warning is True
+    reduced = RunRecord(times=times, centers={"ode-full": centers["ode-full"]},
+                        aux_pde=None, aux_ode=None, conserved=None)
+    assert reduced.deltas == {} and reduced.norm_drift_warning is None
+    # neither can be supplied, so none can disagree with the series
+    for supplied in ({"deltas": {"ode-full": np.array([7.0, 7.0])}},
+                     {"norm_drift_warning": False}):
+        with pytest.raises(TypeError):
+            RunRecord(times=times, centers=centers, aux_pde=None, aux_ode=None,
+                      conserved=np.array([1.0, 1.5]), **supplied)
 
 
 def test_ode_only_run():

@@ -122,6 +122,14 @@ def test_generic_profile_validation():
                        lambda x: 1e200 * ones(x), lambda x: 1e-170 * ones(x)):
         with pytest.raises(ConfigurationError, match="positive and finite"):
             make_generic(inv_sqrt_g, ones, ones, -1.0, 1.0)
+    # a 1/sqrt(g) that changes sign between probe points passes through
+    # zero, where g is singular (here g(pi/2) = 2.7e32): rejected, no warning
+    with pytest.raises(ConfigurationError, match="keep one sign"):
+        make_generic(np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), -6.0, 6.0)
+    # a negative 1/sqrt(g) gives the same g and stays valid
+    flipped = make_generic(lambda x: -2.0 * ones(x), lambda x: 0.0 * ones(x),
+                           lambda x: 0.0 * ones(x), -1.0, 1.0)
+    assert np.all(flipped.g(np.linspace(-1.0, 1.0, 5)) == 0.25)
     # an infinite interval cannot be probed: named, and no numpy warning
     for x_lo, x_hi in ((-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0)):
         with pytest.raises(ConfigurationError, match=r"finite interval .*\[.*inf"):

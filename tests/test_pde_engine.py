@@ -57,10 +57,14 @@ def test_variant_validation():
         EvolutionProblem("transformed-bright", profile, grid, s=+1)
     with pytest.raises(ConfigurationError):
         EvolutionProblem("transformed-dark-rotated", profile, grid, s=-1)
-    # explicit matching signs are accepted
-    EvolutionProblem("transformed-bright", profile, grid, s=-1)
-    EvolutionProblem("transformed-dark-rotated", profile, grid, s=+1)
+    # a transformed equation fixes its own sign: even the matching s is refused
+    with pytest.raises(ConfigurationError, match="s is not taken"):
+        EvolutionProblem("transformed-bright", profile, grid, s=-1)
+    with pytest.raises(ConfigurationError, match="s is not taken"):
+        EvolutionProblem("transformed-dark-rotated", profile, grid, s=+1)
     EvolutionProblem("original-psi", profile, grid, s=-1)
+    EvolutionProblem("original-psi", profile, grid, s=+1)
+    assert EvolutionProblem("transformed-bright", profile, grid).s is None
 
 
 def test_profile_must_cover_grid():
@@ -262,6 +266,22 @@ def test_field_at_and_drift_flag(monkeypatch):
     monkeypatch.setattr(pde_engine, "NORM_DRIFT_TOL", -1.0)
     traj = evolve(problem, field0, 0.0, 0.01, 1e-4, 50)
     assert traj.norm_drift_warning is True  # impossible tolerance must trip
+
+
+def test_drift_flag_is_derived_from_the_conserved_series(monkeypatch):
+    # max|c - c0|/|c0| against the tolerance read at each call; the flag
+    # cannot be supplied
+    times, fields = np.array([0.0, 0.1, 0.2]), np.empty((0, 5), dtype=np.complex128)
+    traj = pde_engine.PdeTrajectory(times, fields,
+                                    np.array([2.0, 2.0 + 2.0 ** -17, 2.0 - 2.0 ** -19]))
+    assert pde_engine.norm_drift(traj.conserved) == 2.0 ** -18  # 3.8e-6, exact
+    assert traj.norm_drift_warning is True
+    monkeypatch.setattr(pde_engine, "NORM_DRIFT_TOL", 2.0 ** -18)
+    assert traj.norm_drift_warning is False
+    # a series that starts at zero drifts absolutely
+    assert pde_engine.norm_drift(np.array([0.0, -4e-7, 1e-7])) == 4e-7
+    with pytest.raises(TypeError):
+        pde_engine.PdeTrajectory(times, fields, np.ones(3), norm_drift_warning=False)
 
 
 @pytest.mark.parametrize("stepper", ["rk4", "abm4"])
