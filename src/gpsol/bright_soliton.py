@@ -125,11 +125,11 @@ def effective_potential(zeta, eta0: float, zeta0: float, C: float, D: float):
     return -(2.0 / 3.0) * eta0 ** 2 * w0 ** 4 / w ** 4
 
 
-def extract_center(dens: np.ndarray, grid: SpatialGrid, work: np.ndarray | None = None) -> float:
+def extract_center(dens: np.ndarray, grid: SpatialGrid, work: np.ndarray) -> float:
     """Density centroid: integral of x |u|^2 over integral of |u|^2.
 
     dens is a sample's density |u|^2 on grid; x |u|^2 goes to work, a row
-    a caller keeps for its samples, or to a new row without it.
+    of the grid's length that a caller keeps for its samples.
     """
     den = simpson(dens, grid.dx)
     if not den > 1e-8:

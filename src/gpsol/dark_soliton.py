@@ -8,7 +8,8 @@ Reduction hierarchy, from most to least faithful:
 
   rhs_full    adiabatic ODEs with the profile under the integrals
   rhs_taylor  same after expanding the closed-form profile around the center
-  eom_rhs     Newtonian equation for the center with velocity factor
+  eom_rhs     Newtonian equation for the center with velocity factor, in
+              canonical form hamilton_rhs(x0, P) with P = s dx0/dt
   eom_a_rhs   small-velocity form of the above
 
 The slow integrals are evaluated by Simpson quadrature over the window
@@ -29,13 +30,11 @@ from .inhomogeneity import InhomogeneityProfile, closed_form_w, window_coefficie
 
 __all__ = [
     "DarkSolitonParams",
-    "DarkParticleState",
     "ansatz",
     "rhs_full",
     "rhs_taylor",
     "eom_rhs",
     "eom_a_rhs",
-    "effective_potential",
     "hamiltonian",
     "hamilton_rhs",
     "extract_center",
@@ -124,39 +123,25 @@ def eom_a_rhs(x0: float, C: float, D: float) -> float:
     return (2.0 / 3.0) * C / closed_form_w(x0, C, D)
 
 
-def effective_potential(x0, C: float, D: float):
-    """Potential -(2/3) ln|C x0 + D| whose gradient gives eom_a_rhs."""
-    out = -(2.0 / 3.0) * np.log(np.abs(closed_form_w(x0, C, D)))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass(frozen=True)
-class DarkParticleState:
-    """Canonical center coordinate and generalized momentum P = s dx0/dt."""
-
-    x0: float
-    P: float
-
-
 def _mass_factor(w: float) -> float:
     # (D + C x0)^(4/3) evaluated on the real branch via ((D + C x0)^2)^(2/3)
     return (w * w) ** (2.0 / 3.0)
 
 
-def hamiltonian(state: DarkParticleState, C: float, D: float) -> float:
+def hamiltonian(x0: float, P: float, C: float, D: float) -> float:
     """H = P^2/2 s^-1 - s/2 with s = ((D + C x0)^2)^(2/3)."""
-    s = _mass_factor(closed_form_w(state.x0, C, D))
-    return state.P ** 2 / 2.0 / s - 0.5 * s
+    s = _mass_factor(closed_form_w(x0, C, D))
+    return P ** 2 / 2.0 / s - 0.5 * s
 
 
-def hamilton_rhs(state: DarkParticleState, C: float, D: float) -> tuple[float, float]:
-    """(dx0/dt, dP/dt) for the canonical center/momentum pair."""
-    w = closed_form_w(state.x0, C, D)
+def hamilton_rhs(x0: float, P: float, C: float, D: float) -> tuple[float, float]:
+    """(dx0/dt, dP/dt) for the center x0 and its momentum P = s dx0/dt."""
+    w = closed_form_w(x0, C, D)
     s = _mass_factor(w)
     f = (2.0 / 3.0) * C / w
     ds = (4.0 / 3.0) * C * s / w
-    dx0 = state.P / s
-    dP = s * f + state.P ** 2 * (ds / s ** 2 - f / s)
+    dx0 = P / s
+    dP = s * f + P ** 2 * (ds / s ** 2 - f / s)
     return dx0, dP
 
 

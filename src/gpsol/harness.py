@@ -202,7 +202,10 @@ class ExperimentConfig:
         ode = ((n_rows - 1) * stride + 1) * (width + 1) if width else 0
         grid_rows = 5 + (22 if "pde" in self.tiers else 0)
         words = n_rows * len(CSV_HEADER.split(",")) + ode + grid_rows * self.n_points
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        try:  # a host that cannot report its physical memory sets no bound
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):
+            memory = math.inf
         if 8 * words > memory:
             raise ConfigurationError(
                 f"the run needs at least {8 * words:.3g} bytes of arrays, more than "

@@ -46,7 +46,7 @@ and dens valid only during the call.  The default consumer stores each
 sample as a row of PdeTrajectory.fields, so that array grows with t_end.
 A caller that passes its own consumer gets no snapshots (fields has zero
 rows), and the field memory of the run stays bounded by the grid size.
-norm_drift is the one relative drift of a conserved series.
+norm_drift is the one relative drift of a conserved series; no flag is kept.
 """
 
 from __future__ import annotations
@@ -141,8 +141,7 @@ def _rhs_kernel(problem: EvolutionProblem):
         # -s g, exact: s is +-1
         neg_sg = -problem.s * g[2:-2]
     else:
-        if np.any(adv):
-            lin += c1 * _D1_STENCIL[:, None] * adv[2:-2]
+        lin += c1 * _D1_STENCIL[:, None] * adv[2:-2]
         if pot is not None:
             lin[2] += 0.5 * pot[2:-2]  # -V_eff
     nl = np.zeros(m, dtype=np.complex128)
@@ -172,12 +171,12 @@ def _rhs_kernel(problem: EvolutionProblem):
 
 
 def _norm(dens: np.ndarray, dx: float, inv_g: np.ndarray | None,
-          work: np.ndarray | None = None) -> float:
+          work: np.ndarray) -> float:
     """The conserved norm of the variant's frame, from the density |u|^2.
 
     original-psi conserves N_psi = integral |Psi|^2 (inv_g None); the
     transformed variants conserve N_w = integral |u|^2 / g, whose integrand
-    goes to work, a row evolve keeps for a run, or to a new row without it.
+    goes to work, a row evolve keeps for a run.
     """
     if inv_g is not None:
         dens = np.multiply(dens, inv_g, out=work)
@@ -207,11 +206,6 @@ class PdeTrajectory:
         ns = self.times.shape[0]
         if self.fields.shape[0] not in (ns, 0) or self.conserved.shape[0] != ns:
             raise ConfigurationError("trajectory arrays disagree in length")
-
-    @property
-    def norm_drift_warning(self) -> bool:
-        """The conserved norm drifted beyond NORM_DRIFT_TOL, read at each call."""
-        return norm_drift(self.conserved) > NORM_DRIFT_TOL
 
 
 def check_time_step(dt: float, grid: SpatialGrid, stepper: str) -> None:
@@ -243,8 +237,7 @@ def evolve(
 
     The step count (t_end - t0)/dt must be an integer multiple of
     sample_every.  Non-finite samples abort with InstabilityError carrying
-    the detection time.  The trajectory derives its warning flag from its
-    conserved series (a relative drift beyond NORM_DRIFT_TOL).
+    the detection time.
 
     Without on_sample every sample, the initial one included, is stored in
     the trajectory's fields.  With it, on_sample(j, u, dens) receives

@@ -116,16 +116,13 @@ def _check_amplitude_invariant():
 
 
 def _check_dark_energy():
-    state0 = dark.DarkParticleState(x0=0.0, P=0.0)
-    h0 = dark.hamiltonian(state0, 1.0, -200.0)
+    h0 = dark.hamiltonian(0.0, 0.0, 1.0, -200.0)
 
     def rhs(t, y):
-        s = dark.DarkParticleState(x0=y[0], P=y[1])
-        return np.asarray(dark.hamilton_rhs(s, 1.0, -200.0))
+        return np.asarray(dark.hamilton_rhs(y[0], y[1], 1.0, -200.0))
 
     traj = rk4_integrate(OdeSystem(2, rhs), np.array([0.0, 0.0]), 0.0, 100.0, 5e-2)
-    hs = np.array([dark.hamiltonian(dark.DarkParticleState(x0=a, P=b), 1.0, -200.0)
-                   for a, b in traj.states[::20]])
+    hs = np.array([dark.hamiltonian(a, b, 1.0, -200.0) for a, b in traj.states[::20]])
     drift = np.max(np.abs(hs - h0)) / abs(h0)
     return drift <= 1e-8, f"dark Hamiltonian relative drift {drift:.2e}"
 
@@ -192,8 +189,8 @@ _CHECKS = (
 )
 
 
-def run_all(verbose: bool = True) -> bool:
-    """Run every invariant check; True when all pass."""
+def run_all() -> bool:
+    """Run and print every invariant check; True when all pass."""
     all_ok = True
     for name, check in _CHECKS:
         try:
@@ -202,6 +199,5 @@ def run_all(verbose: bool = True) -> bool:
             ok, detail = False, f"raised {type(err).__name__}: {err}"
         ok = bool(ok)
         all_ok &= ok
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return all_ok

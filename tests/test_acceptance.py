@@ -188,14 +188,11 @@ def test_c09_conservation(shared_run, frame_pair):
     psi_drift = _max_abs(c - c[0]) / abs(c[0])
 
     def dark_rhs(t, y):
-        return np.asarray(dark.hamilton_rhs(
-            dark.DarkParticleState(x0=y[0], P=y[1]), 1.0, -200.0))
+        return np.asarray(dark.hamilton_rhs(y[0], y[1], 1.0, -200.0))
 
     traj = rk4_integrate(OdeSystem(2, dark_rhs), np.array([0.0, 1.0]),
                          0.0, 100.0, 1e-3)
-    h = np.array([dark.hamiltonian(dark.DarkParticleState(x0=a, P=b),
-                                   1.0, -200.0)
-                  for a, b in traj.states[::1000]])
+    h = np.array([dark.hamiltonian(a, b, 1.0, -200.0) for a, b in traj.states[::1000]])
     h_drift = _max_abs(h - h[0]) / abs(h[0])
 
     def bright_rhs(t, y):

@@ -193,8 +193,6 @@ def test_eom_values():
     # dark's particle models and w itself, in the same (z, ...) call shape
     pytest.param(lambda z, *_: dark.eom_rhs(z, 0.0, 1.0, -200.0), id="dark_eom_rhs"),
     pytest.param(lambda z, *_: dark.eom_a_rhs(z, 1.0, -200.0), id="dark_eom_a_rhs"),
-    pytest.param(lambda z, *_: dark.effective_potential(z, 1.0, -200.0),
-                 id="dark_effective_potential"),
     pytest.param(lambda z, *_: closed_form_w(z, 1.0, -200.0), id="closed_form_w"),
 ])
 def test_pinned_scalar_and_array_inputs(fn):
@@ -223,11 +221,11 @@ def test_eom_matches_potential_gradient():
 
 
 def test_extract_center(grid):
+    # one work row serves every sample; what it held before is never read
+    work = np.full(grid.n_points, np.nan)
     for eta, xi, zeta in ((0.5, 0.0, 7.0), (0.5, 0.25, -3.2), (0.25, 0.5, 40.0)):
         f = bright.ansatz(bright.BrightSolitonParams(eta=eta, xi=xi, zeta=zeta), grid)
         dens = density(f.values)
-        assert bright.extract_center(dens, grid) == pytest.approx(zeta, abs=1e-6)
-        work = np.empty(grid.n_points)
-        assert bright.extract_center(dens, grid, work) == bright.extract_center(dens, grid)
+        assert bright.extract_center(dens, grid, work) == pytest.approx(zeta, abs=1e-6)
     with pytest.raises(ExtractionError):
-        bright.extract_center(np.zeros(grid.n_points), grid)
+        bright.extract_center(np.zeros(grid.n_points), grid, work)

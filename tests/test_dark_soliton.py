@@ -24,7 +24,6 @@ FULL_RHS_ORACLE = {
     (0.5, -10.0): (-2.380975595028088e-03, 5.000108091135559e-01),
 }
 
-V_AT_ORIGIN = -3.5322115776986909  # -(2/3) ln 200
 H_AT_REST = -584.803547642573  # -(1/2) (200^2)^(2/3)
 H_UNIT_MOMENTUM = -584.8031201485863
 
@@ -174,40 +173,19 @@ def test_eom_values():
             dark.eom_a_rhs(singular, 1.0, -200.0)
 
 
-def test_effective_potential():
-    assert dark.effective_potential(0.0, 1.0, -200.0) == pytest.approx(
-        V_AT_ORIGIN, abs=1e-12)
-    xs = np.array([-50.0, 0.0, 50.0])
-    vals = dark.effective_potential(xs, 1.0, -200.0)
-    assert vals.shape == (3,)
-    # force = -dV/dx0 must reproduce the small-velocity acceleration
-    h = 1e-4
-    for x0 in (-40.0, 0.0, 60.0):
-        grad = (dark.effective_potential(x0 + h, 1.0, -200.0)
-                - dark.effective_potential(x0 - h, 1.0, -200.0)) / (2.0 * h)
-        assert -grad == pytest.approx(dark.eom_a_rhs(x0, 1.0, -200.0), abs=1e-10)
-    with pytest.raises(RangeError):
-        dark.effective_potential(200.0, 1.0, -200.0)
-
-
 def test_hamiltonian_values():
-    rest = dark.DarkParticleState(x0=0.0, P=0.0)
-    assert dark.hamiltonian(rest, 1.0, -200.0) == pytest.approx(H_AT_REST, abs=1e-9)
-    moving = dark.DarkParticleState(x0=0.0, P=1.0)
-    assert dark.hamiltonian(moving, 1.0, -200.0) == pytest.approx(
+    assert dark.hamiltonian(0.0, 0.0, 1.0, -200.0) == pytest.approx(H_AT_REST, abs=1e-9)
+    assert dark.hamiltonian(0.0, 1.0, 1.0, -200.0) == pytest.approx(
         H_UNIT_MOMENTUM, abs=1e-9)
 
 
 def test_hamilton_rhs_is_canonical():
-    state = dark.DarkParticleState(x0=5.0, P=0.3)
-    dx0, dP = dark.hamilton_rhs(state, 1.0, -200.0)
+    dx0, dP = dark.hamilton_rhs(5.0, 0.3, 1.0, -200.0)
     h = 1e-3
-    dH_dP = (dark.hamiltonian(dark.DarkParticleState(5.0, 0.3 + h), 1.0, -200.0)
-             - dark.hamiltonian(dark.DarkParticleState(5.0, 0.3 - h), 1.0, -200.0)
-             ) / (2.0 * h)
-    dH_dx = (dark.hamiltonian(dark.DarkParticleState(5.0 + h, 0.3), 1.0, -200.0)
-             - dark.hamiltonian(dark.DarkParticleState(5.0 - h, 0.3), 1.0, -200.0)
-             ) / (2.0 * h)
+    dH_dP = (dark.hamiltonian(5.0, 0.3 + h, 1.0, -200.0)
+             - dark.hamiltonian(5.0, 0.3 - h, 1.0, -200.0)) / (2.0 * h)
+    dH_dx = (dark.hamiltonian(5.0 + h, 0.3, 1.0, -200.0)
+             - dark.hamiltonian(5.0 - h, 0.3, 1.0, -200.0)) / (2.0 * h)
     assert dx0 == pytest.approx(dH_dP, abs=1e-9)
     assert dP == pytest.approx(-dH_dx, abs=1e-9)
 
@@ -218,8 +196,7 @@ def test_hamiltonian_flow_matches_eom():
     p0 = (200.0 ** 2) ** (2.0 / 3.0) * v0  # P = |D + C x0|^(4/3) v at x0 = 0
 
     def ham(t, y):
-        return np.asarray(dark.hamilton_rhs(
-            dark.DarkParticleState(x0=y[0], P=y[1]), 1.0, -200.0))
+        return np.asarray(dark.hamilton_rhs(y[0], y[1], 1.0, -200.0))
 
     def eom(t, y):
         return np.array([y[1], dark.eom_rhs(y[0], y[1], 1.0, -200.0)])

@@ -1,6 +1,7 @@
 """Experiment configs, tier assembly, CSV serialization."""
 
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -425,6 +426,26 @@ def test_config_rejects_a_run_past_physical_memory(kwargs):
     # rejected from a size estimate on construction, before any allocation
     with pytest.raises(ConfigurationError, match="physical memory"):
         ExperimentConfig(mode="dark", **kwargs)
+
+
+@pytest.mark.parametrize("missing", ["sysconf", "SC_PHYS_PAGES"])
+def test_config_runs_where_the_host_reports_no_physical_memory(monkeypatch, missing):
+    # os.sysconf is Unix-only, and a Unix may not know SC_PHYS_PAGES; such a
+    # host skips the physical-memory bound and keeps every other check
+    if missing == "sysconf":
+        monkeypatch.delattr(os, "sysconf")
+    else:
+        def sysconf(name, real=os.sysconf):
+            if name == "SC_PHYS_PAGES":
+                raise ValueError("unrecognized configuration name")
+            return real(name)
+        monkeypatch.setattr(os, "sysconf", sysconf)
+    cfg = ExperimentConfig(mode="dark", A0=0.0, t_max=0.1, tiers=("ode-full",))
+    rec = run_experiment(cfg)
+    assert rec.centers["ode-full"].shape == rec.times.shape == (cfg.n_samples,)
+    with pytest.raises(ConfigurationError, match="PDE steps"):
+        ExperimentConfig(mode="dark", A0=0.0, t_max=0.1, sample_interval=7,
+                         tiers=("ode-full",))
 
 
 def test_edge_crossing_raises_before_the_march_ends(monkeypatch):

@@ -1,14 +1,18 @@
 """Dead names and unbounded caches in the package source.
 
-A name counts as read when some module of the package loads it, as a bare
-name or as an attribute, or when the package's __init__ exports it through
-__all__.  A submodule's own __all__ does not count: a public name that no
-module reads and the package does not export is dead.  A field of a
-package dataclass is dead unless some module loads it as an attribute or
-names it in a string constant inside a function that calls getattr, as
-write_csv does for its series; tests do not count as readers.  The scan
-works by name, not by module, so it can miss a dead name that shares its
-spelling with a live one; it never flags a live one.
+A module global counts as read only when its own module loads it as a
+bare name, when another module imports it with `from .m import name`, or
+when another module reads it as `m.name` after `from . import m`; a read
+of `m.name` leaves a global of that name in any other module dead.  An
+import counts as read when its module loads it as a bare name, or, in
+the package's __init__, names it in __all__.  A submodule's own __all__
+does not count: a public name that no module reads and the package does
+not export is dead.  A field of a package dataclass is still matched by
+name, not by class: it is dead unless some module loads an attribute of
+that name or names it in a string constant inside a function that calls
+getattr, as write_csv does for its series, so a dead field that shares
+its spelling with a live attribute goes unflagged.  Tests do not count
+as readers.
 
 A cache without a size bound (functools.cache, lru_cache(maxsize=None))
 keeps every key it has seen, so a long run's memory would grow with its
@@ -36,14 +40,27 @@ def _exports(tree):
     return set()
 
 
-def _reads(stem, tree):
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return (names | _exports(tree)) if stem == "__init__" else names
+def _reads(modules):
+    """(module, name) for every name some module of the package reads."""
+    reads = set()
+    for stem, tree in modules.items():
+        aliases = {}  # local name -> module, from `from . import m as alias`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    else:
+                        reads.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add((stem, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                reads.add((aliases[node.value.id], node.attr))
+        if stem == "__init__":
+            reads.update((stem, name) for name in _exports(tree))
+    return reads
 
 
 def _imported(tree):
@@ -92,14 +109,13 @@ def _dataclass_fields(tree):
 def dead_names(modules):
     """'module.name' for every unread import and module global, and
     'module.Class.field' for every unread dataclass field."""
-    everywhere = set().union(*(_reads(stem, tree) for stem, tree in modules.items()))
+    reads = _reads(modules)
     fields_read = set().union(*(_field_reads(tree) for tree in modules.values()))
     dead = []
     for stem, tree in modules.items():
-        local = _reads(stem, tree)
-        dead += [f"{stem}.{name}" for name in _imported(tree) if name not in local]
+        dead += [f"{stem}.{name}" for name in _imported(tree) if (stem, name) not in reads]
         dead += [f"{stem}.{name}" for name in _module_globals(tree)
-                 if not name.startswith("__") and name not in everywhere]
+                 if not name.startswith("__") and (stem, name) not in reads]
         dead += [f"{stem}.{cls}.{name}" for cls, name in _dataclass_fields(tree)
                  if name not in fields_read]
     return sorted(dead)
@@ -118,6 +134,11 @@ def test_scan_flags_both_kinds_of_dead_name():
     # re-exported by the package, g is live
     modules["__init__"] = ast.parse("from .a import g\n__all__ = ['g']\n")
     assert dead_names(modules) == ["a.os", "b.KINDS", "b.sys"]
+    # a read names its module: c reads b's f and KINDS through its alias,
+    # and d's f stays dead although it shares the name of a live one
+    modules["c"] = ast.parse("from . import b as bb\nprint(bb.f(), bb.KINDS)\n")
+    modules["d"] = ast.parse("def f():\n    return 2\n")
+    assert dead_names(modules) == ["a.os", "b.sys", "d.f"]
 
 
 def test_scan_flags_unread_dataclass_fields():
