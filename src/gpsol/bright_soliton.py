@@ -14,6 +14,7 @@ on a global phase, so Phi only sets the field ansatz's initial condition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BrightSolitonParams:
-    """Amplitude eta > 0, velocity parameter xi, center zeta, ansatz phase phi."""
+    """Amplitude eta > 0, velocity parameter xi, center zeta, ansatz phase phi; all finite."""
 
     eta: float
     xi: float
@@ -46,6 +47,12 @@ class BrightSolitonParams:
     def __post_init__(self):
         if not self.eta > 0.0:
             raise ParameterError(f"bright soliton needs eta > 0, got {self.eta}")
+        try:  # math, not numpy: the reduced tiers build one per right-hand-side call
+            finite = all(map(math.isfinite, (self.eta, self.xi, self.zeta, self.phi)))
+        except OverflowError:  # an int past a float's range
+            finite = False
+        if not finite:
+            raise ParameterError(f"bright soliton parameters must be finite, got {self}")
 
 
 def ansatz(params: BrightSolitonParams, grid: SpatialGrid) -> ComplexField:

@@ -19,6 +19,7 @@ cuts its window by the same grid_field.window_indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DarkSolitonParams:
-    """Depth/velocity parameter A (|A| < 1) and center x0; B = sqrt(1 - A^2)."""
+    """Depth/velocity parameter A (|A| < 1) and finite center x0; B = sqrt(1 - A^2)."""
 
     A: float
     x0: float
@@ -52,6 +53,12 @@ class DarkSolitonParams:
     def __post_init__(self):
         if not abs(self.A) < 1.0:
             raise ParameterError(f"dark soliton needs |A| < 1, got A = {self.A}")
+        try:  # math, not numpy: the reduced tiers build one per right-hand-side call
+            finite = math.isfinite(self.x0)
+        except OverflowError:  # an int past a float's range
+            finite = False
+        if not finite:
+            raise ParameterError(f"dark soliton needs a finite center, got x0 = {self.x0}")
 
     @property
     def B(self) -> float:

@@ -185,14 +185,14 @@ class ExperimentConfig:
             )
         if self.sample_interval < 1:
             raise ConfigurationError("sample_interval must be >= 1")
-        n_pde = step_count(0.0, self.t_max, self.dt_pde)
+        n_pde = step_count(self.t_max, self.dt_pde)
         if n_pde % self.sample_interval != 0:
             raise ConfigurationError(
                 f"{n_pde} PDE steps do not split into samples of {self.sample_interval}"
             )
         # ODE tiers sample on the same lab-time axis; bright tiers run in
         # the half-rate frame, so their stride halves
-        stride = step_count(0.0, _FRAME_RATE[self.mode] * self.sample_step, self.dt_ode)
+        stride = step_count(_FRAME_RATE[self.mode] * self.sample_step, self.dt_ode)
         # at least these float64 words grow with t_max or n_points: the time
         # axis and a series per CSV column, the ODE states and times, the
         # grid's x and the profile's 4 tables, and the pde tier's 11 complex
@@ -218,7 +218,7 @@ class ExperimentConfig:
 
     @property
     def n_samples(self) -> int:
-        return step_count(0.0, self.t_max, self.dt_pde) // self.sample_interval + 1
+        return step_count(self.t_max, self.dt_pde) // self.sample_interval + 1
 
 
 # per mode, the soliton a config starts from; its type checks the range
@@ -323,18 +323,25 @@ def _taylor(y, config, profile, grid):
     return module.rhs_taylor(params, profile)
 
 
+def _inside(x, profile):
+    """A particle tier's center x, which stops the run once it leaves the profile."""
+    if not profile.contains(x, x):
+        raise RangeError(f"center {x} outside profile validity")
+    return x
+
+
 def _dark_eom(y, config, profile, grid):
-    return y[1], dark.eom_rhs(y[0], y[1], config.C, config.D)
+    return y[1], dark.eom_rhs(_inside(y[0], profile), y[1], config.C, config.D)
 
 
 def _dark_eom_a(y, config, profile, grid):
-    return y[1], dark.eom_a_rhs(y[0], config.C, config.D)
+    return y[1], dark.eom_a_rhs(_inside(y[0], profile), config.C, config.D)
 
 
 def _bright_eom(y, config, profile, grid):
     # the lab-time center equation (velocity -2 xi) written in tau = t/2
-    return 2.0 * y[1], 2.0 * bright.eom_rhs(y[0], config.eta0, config.zeta0,
-                                            config.C, config.D)
+    return 2.0 * y[1], 2.0 * bright.eom_rhs(_inside(y[0], profile), config.eta0,
+                                            config.zeta0, config.C, config.D)
 
 
 @dataclass(frozen=True)
@@ -387,16 +394,16 @@ def _reduced_tiers(config: ExperimentConfig, profile: InhomogeneityProfile,
         y0.extend(table[tier].y0(config))
         parts.append((tier, table[tier], slice(start, len(y0))))
 
-    def rhs(t, y):
+    def rhs(y):
         out: list[float] = []
         for _, row, part in parts:
             out.extend(row.rhs(y[part], config, profile, grid))
         return np.array(out)
 
     rate = _FRAME_RATE[config.mode]
-    traj = abm4_integrate(OdeSystem(len(y0), rhs), np.array(y0), 0.0,
-                          rate * config.t_max, config.dt_ode)
-    stride = step_count(0.0, rate * config.sample_step, config.dt_ode)
+    traj = abm4_integrate(OdeSystem(len(y0), rhs), np.array(y0), rate * config.t_max,
+                          config.dt_ode)
+    stride = step_count(rate * config.sample_step, config.dt_ode)
     centers: dict[str, np.ndarray] = {}
     amplitude = None
     for tier, row, part in parts:

@@ -3,12 +3,14 @@
 Two fourth-order schemes: classical RK4 and an Adams-Bashforth-Moulton
 predictor-corrector (single PECE pass, RK4 bootstrap for the first three
 steps).  rk4_step and abm4_step advance a state array of any shape in
-place through a right-hand side rhs_into(t, y, out) that writes y' into
+place through a right-hand side rhs_into(y, out) that writes y' into
 out, and keep their stage and history arrays in a work list that lasts
 for one run.  march drives either step over a run: every few steps it
 stops on a non-finite state with InstabilityError and otherwise hands the
 state to a sampling callback.  rk4_integrate and abm4_integrate march
-small systems and record every step; pde_engine.evolve marches the field.
+small systems from t = 0 and record every step; pde_engine.evolve marches
+the field.  Every system is autonomous: g varies in x only, so no
+right-hand side or step takes the time.
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ __all__ = [
     "march",
 ]
 
-Rhs = Callable[[float, np.ndarray], np.ndarray]
-RhsInto = Callable[[float, np.ndarray, np.ndarray], object]
-Step = Callable[[RhsInto, float, np.ndarray, float, list], None]
+Rhs = Callable[[np.ndarray], np.ndarray]
+RhsInto = Callable[[np.ndarray, np.ndarray], object]
+Step = Callable[[RhsInto, np.ndarray, float, list], None]
 
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """A first-order system y' = rhs(t, y) of fixed dimension."""
+    """An autonomous first-order system y' = rhs(y) of fixed dimension."""
 
     dimension: int
     rhs: Rhs
@@ -53,7 +55,7 @@ class OdeSystem:
 
 @dataclass
 class OdeTrajectory:
-    """States at uniformly spaced times, including the initial state."""
+    """States at the times dt k from 0, including the initial state."""
 
     times: np.ndarray
     states: np.ndarray
@@ -63,9 +65,8 @@ class OdeTrajectory:
             raise ConfigurationError("trajectory times and states disagree in length")
 
 
-def rk4_step(rhs_into: RhsInto, t: float, u: np.ndarray, dt: float,
-             work: list[np.ndarray]) -> None:
-    """One classical RK4 step from t to t + dt, advancing u in place.
+def rk4_step(rhs_into: RhsInto, u: np.ndarray, dt: float, work: list[np.ndarray]) -> None:
+    """One classical RK4 step of size dt, advancing u in place.
 
     The first step fills the empty work list with five zeroed arrays
     shaped like u: the stages k1..k4 and the stage state.  Rows that
@@ -75,10 +76,10 @@ def rk4_step(rhs_into: RhsInto, t: float, u: np.ndarray, dt: float,
         work.extend(np.zeros_like(u) for _ in range(5))
     k1, k2, k3, k4, y = work[:5]
     h = 0.5 * dt
-    rhs_into(t, u, k1)
-    rhs_into(t + h, np.add(u, np.multiply(h, k1, out=y), out=y), k2)
-    rhs_into(t + h, np.add(u, np.multiply(h, k2, out=y), out=y), k3)
-    rhs_into(t + dt, np.add(u, np.multiply(dt, k3, out=y), out=y), k4)
+    rhs_into(u, k1)
+    rhs_into(np.add(u, np.multiply(h, k1, out=y), out=y), k2)
+    rhs_into(np.add(u, np.multiply(h, k2, out=y), out=y), k3)
+    rhs_into(np.add(u, np.multiply(dt, k3, out=y), out=y), k4)
     # u + (dt/6) (k1 + 2 k2 + 2 k3 + k4)
     np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
     np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
@@ -91,8 +92,7 @@ _AB4 = np.array([55.0, -59.0, 37.0, -9.0]) / 24.0
 _AM4 = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
 
 
-def abm4_step(rhs_into: RhsInto, t: float, u: np.ndarray, dt: float,
-              work: list[np.ndarray]) -> None:
+def abm4_step(rhs_into: RhsInto, u: np.ndarray, dt: float, work: list[np.ndarray]) -> None:
     """One single-pass ABM4 predictor-corrector step, advancing u in place.
 
     work holds what rk4_step keeps, then the predictor and a temporary,
@@ -104,11 +104,11 @@ def abm4_step(rhs_into: RhsInto, t: float, u: np.ndarray, dt: float,
     if not work:
         # rk4_step's five arrays, the predictor, a temporary and f_0
         work.extend(np.zeros_like(u) for _ in range(8))
-        rhs_into(t, u, work[7])
+        rhs_into(u, work[7])
     if len(work) < 11:  # fewer than four derivatives in the history
-        rk4_step(rhs_into, t, u, dt, work)
+        rk4_step(rhs_into, u, dt, work)
         work.insert(7, np.zeros_like(u))
-        rhs_into(t + dt, u, work[7])
+        rhs_into(u, work[7])
         return
     acc, tmp, f0, f1, f2, f3 = work[5:]
     # predictor u + dt (AB0 f0 + AB1 f1 + AB2 f2 + AB3 f3)
@@ -117,20 +117,19 @@ def abm4_step(rhs_into: RhsInto, t: float, u: np.ndarray, dt: float,
     np.add(acc, np.multiply(_AB4[2], f2, out=tmp), out=acc)
     np.add(acc, np.multiply(_AB4[3], f3, out=tmp), out=acc)
     np.add(u, np.multiply(dt, acc, out=acc), out=acc)
-    rhs_into(t + dt, acc, f3)
+    rhs_into(acc, f3)
     # corrector u + dt (AM0 f_pred + AM1 f0 + AM2 f1 + AM3 f2)
     np.multiply(_AM4[0], f3, out=acc)
     np.add(acc, np.multiply(_AM4[1], f0, out=tmp), out=acc)
     np.add(acc, np.multiply(_AM4[2], f1, out=tmp), out=acc)
     np.add(acc, np.multiply(_AM4[3], f2, out=tmp), out=acc)
     np.add(u, np.multiply(dt, acc, out=acc), out=u)
-    rhs_into(t + dt, u, f3)
+    rhs_into(u, f3)
     work[7:] = f3, f0, f1, f2
 
 
-def step_count(t0: float, t_end: float, dt: float) -> int:
-    """Number of steps of size dt from t0 to t_end, which must be whole."""
-    span = t_end - t0
+def step_count(span: float, dt: float) -> int:
+    """Number of steps of size dt across span, which must be whole."""
     if not (math.isfinite(span) and math.isfinite(dt)):
         raise ConfigurationError(f"span {span} and step size {dt} must be finite")
     if not dt > 0.0:
@@ -150,17 +149,17 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
 
 def march(step: Step, rhs_into: RhsInto, u: np.ndarray, t0: float, dt: float,
           n_steps: int, every: int, on_sample: Callable[[int, np.ndarray], None]) -> None:
-    """Advance u in place by n_steps steps of size dt from t0.
+    """Advance u in place by n_steps steps of size dt.
 
     After every `every` steps, with j = steps taken / every, a non-finite
-    state raises InstabilityError carrying its time; otherwise
+    state raises InstabilityError carrying its time from t0; otherwise
     on_sample(j, u) is called.  numpy's floating-point warnings are off
     while it marches, so a blow-up surfaces only as that error.
     """
     work: list[np.ndarray] = []
     with np.errstate(all="ignore"):
         for k in range(n_steps):
-            step(rhs_into, t0 + k * dt, u, dt, work)
+            step(rhs_into, u, dt, work)
             if (k + 1) % every == 0:
                 if not np.isfinite(u).all():
                     t_fail = t0 + (k + 1) * dt
@@ -180,33 +179,33 @@ def _prepare(system: OdeSystem, y0: np.ndarray) -> np.ndarray:
     return y.copy()
 
 
-def _integrate(step: Step, system: OdeSystem, y0: np.ndarray, t0: float,
-               t_end: float, dt: float) -> OdeTrajectory:
+def _integrate(step: Step, system: OdeSystem, y0: np.ndarray, t_end: float,
+               dt: float) -> OdeTrajectory:
     y = _prepare(system, y0)
-    n = step_count(t0, t_end, dt)
+    n = step_count(t_end, dt)
     states = np.empty((n + 1, system.dimension))
     states[0] = y
     rhs = system.rhs
 
-    def rhs_into(t, state, out):
-        out[:] = rhs(t, state)
+    def rhs_into(state, out):
+        out[:] = rhs(state)
 
     def record(j, state):
         states[j] = state
 
-    march(step, rhs_into, y, t0, dt, n, 1, record)
-    return OdeTrajectory(times=t0 + dt * np.arange(n + 1), states=states)
+    march(step, rhs_into, y, 0.0, dt, n, 1, record)
+    return OdeTrajectory(times=dt * np.arange(n + 1), states=states)
 
 
-def rk4_integrate(system: OdeSystem, y0: np.ndarray, t0: float, t_end: float, dt: float) -> OdeTrajectory:
-    """Integrate with RK4, recording every step."""
-    return _integrate(rk4_step, system, y0, t0, t_end, dt)
+def rk4_integrate(system: OdeSystem, y0: np.ndarray, t_end: float, dt: float) -> OdeTrajectory:
+    """Integrate from 0 to t_end with RK4, recording every step."""
+    return _integrate(rk4_step, system, y0, t_end, dt)
 
 
-def abm4_integrate(system: OdeSystem, y0: np.ndarray, t0: float, t_end: float, dt: float) -> OdeTrajectory:
-    """Integrate with the ABM predictor-corrector, single PECE pass per step.
+def abm4_integrate(system: OdeSystem, y0: np.ndarray, t_end: float, dt: float) -> OdeTrajectory:
+    """Integrate from 0 to t_end with the ABM predictor-corrector, one PECE pass a step.
 
     The first three steps are bootstrapped with RK4 so the multistep
     history is available at full order.
     """
-    return _integrate(abm4_step, system, y0, t0, t_end, dt)
+    return _integrate(abm4_step, system, y0, t_end, dt)

@@ -27,13 +27,14 @@ non-finite after about 10 time units; at 0.093 dx^2 the growth is only
 3e-5 per step.  check_time_step enforces the bound; evolve calls it up
 front, and the harness calls it before any tier runs.
 
-The right-hand side kernel writes into caller-owned arrays.  Its linear
-terms (kinetic, advection and V_eff) live in one table of complex
-five-point stencil coefficients over the interior rows, built once per
-evolve call; a call sums the five products with the shifted field and
-adds the variant's nonlinear term, all complex by complex.  The result
-matches a term-by-term evaluation of the same stencils to roundoff, not
-bitwise, because the sum runs in another order.  The RK4 and ABM4 steps,
+The right-hand side kernel rhs_into(u, out) writes into caller-owned
+arrays and takes no time: g varies in x only.  Its linear terms
+(kinetic, advection and V_eff) live in one table of complex five-point
+stencil coefficients over the interior rows, built once per evolve call;
+a call sums the five products with the shifted field and adds the
+variant's nonlinear term, all complex by complex.  The result matches a
+term-by-term evaluation of the same stencils to roundoff, not bitwise,
+because the sum runs in another order.  The RK4 and ABM4 steps,
 the step count and the non-finite check belong to ode_engine: evolve
 validates its inputs and hands the kernel to ode_engine.march, which
 advances the field in place; once the steps' work arrays exist, a field
@@ -51,6 +52,7 @@ norm_drift is the one relative drift of a conserved series; no flag is kept.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -107,7 +109,7 @@ _D1_STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
 
 
 def _rhs_kernel(problem: EvolutionProblem):
-    """du/dt kernel rhs_into(t, u, out) that writes into out[2:-2].
+    """du/dt kernel rhs_into(u, out) that writes into out[2:-2].
 
     Every linear term is one complex-coefficient five-point stencil,
     tabulated here once over the interior rows:
@@ -150,7 +152,7 @@ def _rhs_kernel(problem: EvolutionProblem):
     dens = np.empty(m)
     dens_im = np.empty(m)
 
-    def rhs_into(t: float, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def rhs_into(u: np.ndarray, out: np.ndarray) -> np.ndarray:
         ui = u[2:-2]
         np.square(ui.real, out=dens)
         np.square(ui.imag, out=dens_im)
@@ -235,9 +237,9 @@ def evolve(
 ) -> PdeTrajectory:
     """March the field from t0 to t_end, sampling every sample_every steps.
 
-    The step count (t_end - t0)/dt must be an integer multiple of
-    sample_every.  Non-finite samples abort with InstabilityError carrying
-    the detection time.
+    The step count (t_end - t0)/dt must be an integer multiple of the
+    integer sample_every.  Non-finite samples abort with InstabilityError
+    carrying the detection time.
 
     Without on_sample every sample, the initial one included, is stored in
     the trajectory's fields.  With it, on_sample(j, u, dens) receives
@@ -246,8 +248,9 @@ def evolve(
     it raises ends the march.
     """
     check_time_step(dt, problem.grid, stepper)
-    n_steps = step_count(t0, t_end, dt)
-    sample_every = int(sample_every)
+    n_steps = step_count(t_end - t0, dt)
+    if isinstance(sample_every, bool) or not isinstance(sample_every, numbers.Integral):
+        raise ConfigurationError(f"sample_every must be an integer, got {sample_every!r}")
     if sample_every < 1 or n_steps % sample_every != 0:
         raise ConfigurationError(
             f"{n_steps} steps do not split into samples of {sample_every}"

@@ -33,7 +33,7 @@ def _check_stencils():
                       + (1.0 - f * f) * f)
         out = np.zeros(n, dtype=np.complex128)
         kernel = _rhs_kernel(EvolutionProblem("transformed-dark-rotated", prof, g))
-        kernel(0.0, f.astype(np.complex128), out)
+        kernel(f.astype(np.complex128), out)
         errs.append(np.max(np.abs(out[2:-2] - exact[2:-2])))
     ratio = errs[0] / errs[1]
     return ratio > 12.0, f"field right-hand side refinement ratio {ratio:.1f} (expect ~16)"
@@ -61,16 +61,16 @@ def _check_profile():
 
 
 def _check_integrators():
-    system = OdeSystem(1, lambda t, y: -y)
+    system = OdeSystem(1, lambda y: -y)
     y0 = np.array([1.0])
     errs = {"rk4": [], "abm4": []}
     for dt in (1e-2, 5e-3):
         for name, fn in (("rk4", rk4_integrate), ("abm4", abm4_integrate)):
-            traj = fn(system, y0, 0.0, 2.0, dt)
+            traj = fn(system, y0, 2.0, dt)
             errs[name].append(abs(traj.states[-1, 0] - np.exp(-2.0)))
     orders = {k: np.log2(v[0] / v[1]) for k, v in errs.items()}
-    a = rk4_integrate(system, y0, 0.0, 2.0, 1e-3).states[-1, 0]
-    b = abm4_integrate(system, y0, 0.0, 2.0, 1e-3).states[-1, 0]
+    a = rk4_integrate(system, y0, 2.0, 1e-3).states[-1, 0]
+    b = abm4_integrate(system, y0, 2.0, 1e-3).states[-1, 0]
     ok = orders["rk4"] > 3.5 and orders["abm4"] > 3.5 and abs(a - b) < 1e-8
     return ok, (f"orders rk4 {orders['rk4']:.2f}, abm4 {orders['abm4']:.2f}, "
                 f"cross diff {abs(a - b):.1e}")
@@ -104,12 +104,11 @@ def _check_amplitude_invariant():
     g = build_grid(-150.0, 150.0, 257)
     prof = make_inverse_square(1.0, -200.0, g)
 
-    def rhs(t, y):
+    def rhs(y):
         p = bright.BrightSolitonParams(eta=y[0], xi=y[1], zeta=y[2])
         return np.asarray(bright.rhs_taylor(p, prof))
 
-    traj = rk4_integrate(OdeSystem(3, rhs), np.array([0.5, 0.25, 0.0]),
-                         0.0, 25.0, 5e-2)
+    traj = rk4_integrate(OdeSystem(3, rhs), np.array([0.5, 0.25, 0.0]), 25.0, 5e-2)
     pinned = bright.eta_closed_form(traj.states[:, 2], 0.5, 0.0, 1.0, -200.0)
     drift = np.max(np.abs(traj.states[:, 0] - pinned)) / 0.5
     return drift <= 1e-10, f"eta against eta_closed_form relative drift {drift:.2e}"
@@ -118,20 +117,20 @@ def _check_amplitude_invariant():
 def _check_dark_energy():
     h0 = dark.hamiltonian(0.0, 0.0, 1.0, -200.0)
 
-    def rhs(t, y):
+    def rhs(y):
         return np.asarray(dark.hamilton_rhs(y[0], y[1], 1.0, -200.0))
 
-    traj = rk4_integrate(OdeSystem(2, rhs), np.array([0.0, 0.0]), 0.0, 100.0, 5e-2)
+    traj = rk4_integrate(OdeSystem(2, rhs), np.array([0.0, 0.0]), 100.0, 5e-2)
     hs = np.array([dark.hamiltonian(a, b, 1.0, -200.0) for a, b in traj.states[::20]])
     drift = np.max(np.abs(hs - h0)) / abs(h0)
     return drift <= 1e-8, f"dark Hamiltonian relative drift {drift:.2e}"
 
 
 def _check_bright_energy():
-    def rhs(t, y):
+    def rhs(y):
         return np.array([y[1], bright.eom_rhs(y[0], 0.5, 0.0, 1.0, -200.0)])
 
-    traj = rk4_integrate(OdeSystem(2, rhs), np.array([0.0, 0.0]), 0.0, 100.0, 5e-2)
+    traj = rk4_integrate(OdeSystem(2, rhs), np.array([0.0, 0.0]), 100.0, 5e-2)
     energy = (0.5 * traj.states[:, 1] ** 2
               + bright.effective_potential(traj.states[:, 0], 0.5, 0.0, 1.0, -200.0))
     drift = np.max(np.abs(energy - energy[0])) / abs(energy[0])

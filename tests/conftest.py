@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -42,6 +44,21 @@ RUN_SPECS = {
 }
 
 
+def _exit_with(session_pid: int) -> None:
+    """Pool initializer: a daemon thread ends the worker once its session is gone.
+
+    A session killed by a signal never reaches the pool's shutdown, and a
+    running evolve cannot be cancelled; its orphaned worker is reparented,
+    which the thread sees within a second.
+    """
+    def watch():
+        while os.getppid() == session_pid:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 @pytest.fixture(scope="session")
 def shared_run():
     """Callable fixture: shared_run(name) -> the RunRecord of RUN_SPECS[name].
@@ -49,12 +66,14 @@ def shared_run():
     The first request submits every run, longest first (most field steps),
     to a pool of one worker process per core available to the process, so
     on one core they run in turn.  Each request waits for its own run
-    only.  A run that fails raises at every request for it.
+    only.  A run that fails raises at every request for it.  The workers
+    exit with the session, however it ends.
     """
     configs = {name: ExperimentConfig(**spec) for name, spec in RUN_SPECS.items()}
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     longest_first = sorted(configs, key=lambda name: -configs[name].t_max / configs[name].dt_pde)
-    pool = ProcessPoolExecutor(min(cores, len(configs)), mp_context=multiprocessing.get_context("spawn"))
+    pool = ProcessPoolExecutor(min(cores, len(configs)), mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_exit_with, initargs=(os.getpid(),))
     try:
         runs = {name: pool.submit(run_experiment, configs[name]) for name in longest_first}
         yield lambda name: runs[name].result()

@@ -187,19 +187,17 @@ def test_c09_conservation(shared_run, frame_pair):
     c = psi_traj.conserved
     psi_drift = _max_abs(c - c[0]) / abs(c[0])
 
-    def dark_rhs(t, y):
+    def dark_rhs(y):
         return np.asarray(dark.hamilton_rhs(y[0], y[1], 1.0, -200.0))
 
-    traj = rk4_integrate(OdeSystem(2, dark_rhs), np.array([0.0, 1.0]),
-                         0.0, 100.0, 1e-3)
+    traj = rk4_integrate(OdeSystem(2, dark_rhs), np.array([0.0, 1.0]), 100.0, 1e-3)
     h = np.array([dark.hamiltonian(a, b, 1.0, -200.0) for a, b in traj.states[::1000]])
     h_drift = _max_abs(h - h[0]) / abs(h[0])
 
-    def bright_rhs(t, y):
+    def bright_rhs(y):
         return np.array([y[1], bright.eom_rhs(y[0], 0.5, 0.0, 1.0, -200.0)])
 
-    traj_b = rk4_integrate(OdeSystem(2, bright_rhs), np.array([0.0, 0.0]),
-                           0.0, 100.0, 1e-3)
+    traj_b = rk4_integrate(OdeSystem(2, bright_rhs), np.array([0.0, 0.0]), 100.0, 1e-3)
     energy = (0.5 * traj_b.states[:, 1] ** 2
               + bright.effective_potential(traj_b.states[:, 0],
                                            0.5, 0.0, 1.0, -200.0))
@@ -243,13 +241,12 @@ def test_c11_amplitude_width_invariant():
     grid = build_grid(-150.0, 150.0, 4097)
     prof = make_inverse_square(1.0, -200.0, grid)
 
-    def rhs(t, y):
+    def rhs(y):
         p = bright.BrightSolitonParams(eta=float(y[0]), xi=float(y[1]),
                                        zeta=float(y[2]))
         return np.asarray(bright.rhs_taylor(p, prof))
 
-    traj = abm4_integrate(OdeSystem(3, rhs), np.array([0.5, 0.25, 0.0]),
-                          0.0, 25.0, 1e-3)
+    traj = abm4_integrate(OdeSystem(3, rhs), np.array([0.5, 0.25, 0.0]), 25.0, 1e-3)
     inv = traj.states[:, 0] * (traj.states[:, 2] - 200.0) ** 2
     drift = _max_abs(inv - inv[0]) / abs(inv[0])
     _report(11, drift <= 1e-10,
@@ -261,22 +258,22 @@ def test_c12_integrator_cross_check():
     grid = build_grid(-150.0, 150.0, 4097)
     prof = make_inverse_square(1.0, -200.0, grid)
 
-    def rhs(t, y):
+    def rhs(y):
         p = dark.DarkSolitonParams(A=float(y[0]), x0=float(y[1]))
         return np.asarray(dark.rhs_taylor(p, prof))
 
     sys2 = OdeSystem(2, rhs)
     y0 = np.array([0.25, 0.0])
-    t_rk4 = rk4_integrate(sys2, y0, 0.0, 100.0, 1e-3)
-    t_abm = abm4_integrate(sys2, y0, 0.0, 100.0, 1e-3)
+    t_rk4 = rk4_integrate(sys2, y0, 100.0, 1e-3)
+    t_abm = abm4_integrate(sys2, y0, 100.0, 1e-3)
     gap = _max_abs(t_rk4.states - t_abm.states)
 
-    decay = OdeSystem(1, lambda t, y: -y)
+    decay = OdeSystem(1, lambda y: -y)
     orders = []
     for integrate in (rk4_integrate, abm4_integrate):
         errs = []
         for dt in (0.05, 0.025):
-            tr = integrate(decay, np.array([1.0]), 0.0, 1.0, dt)
+            tr = integrate(decay, np.array([1.0]), 1.0, dt)
             errs.append(abs(float(tr.states[-1, 0]) - np.exp(-1.0)))
         orders.append(np.log2(errs[0] / errs[1]))
     order_ok = all(3.5 < o < 4.6 for o in orders)

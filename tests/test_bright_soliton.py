@@ -40,6 +40,11 @@ def test_params_validation():
         bright.BrightSolitonParams(eta=-0.5, xi=0.0, zeta=0.0)
     p = bright.BrightSolitonParams(eta=0.5, xi=0.25, zeta=1.0)
     assert p.phi == 0.0
+    # an infinite xi would make rhs_full and rhs_taylor return -inf
+    for field in ("eta", "xi", "zeta", "phi"):
+        for value in (np.inf, -np.inf, np.nan, 10 ** 400):
+            with pytest.raises(ParameterError):
+                bright.BrightSolitonParams(**{"eta": 0.5, "xi": 0.25, "zeta": 0.0, field: value})
 
 
 def test_ansatz_shape(grid):

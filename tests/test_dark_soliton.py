@@ -45,6 +45,9 @@ def test_params_validation():
         dark.DarkSolitonParams(A=1.0, x0=0.0)
     with pytest.raises(ParameterError):
         dark.DarkSolitonParams(A=-1.5, x0=0.0)
+    for x0 in (np.inf, -np.inf, np.nan, 10 ** 400):
+        with pytest.raises(ParameterError, match="finite center"):
+            dark.DarkSolitonParams(A=0.25, x0=x0)
 
 
 def test_ansatz_shape(grid):
@@ -195,14 +198,14 @@ def test_hamiltonian_flow_matches_eom():
     v0 = 0.25
     p0 = (200.0 ** 2) ** (2.0 / 3.0) * v0  # P = |D + C x0|^(4/3) v at x0 = 0
 
-    def ham(t, y):
+    def ham(y):
         return np.asarray(dark.hamilton_rhs(y[0], y[1], 1.0, -200.0))
 
-    def eom(t, y):
+    def eom(y):
         return np.array([y[1], dark.eom_rhs(y[0], y[1], 1.0, -200.0)])
 
-    a = rk4_integrate(OdeSystem(2, ham), np.array([0.0, p0]), 0.0, 50.0, 1e-3)
-    b = rk4_integrate(OdeSystem(2, eom), np.array([0.0, v0]), 0.0, 50.0, 1e-3)
+    a = rk4_integrate(OdeSystem(2, ham), np.array([0.0, p0]), 50.0, 1e-3)
+    b = rk4_integrate(OdeSystem(2, eom), np.array([0.0, v0]), 50.0, 1e-3)
     assert np.max(np.abs(a.states[:, 0] - b.states[:, 0])) < 1e-8
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gpsol import bright_soliton as bright
-from gpsol import harness, pde_engine
+from gpsol import cli, harness, pde_engine
 from gpsol.errors import ConfigurationError, RangeError, SingularityError
 from gpsol.harness import (
     CSV_HEADER,
@@ -377,12 +377,12 @@ def test_bright_eom_is_a_lab_march_at_twice_dt_ode():
                            tiers=("eom",))
     rec = run_experiment(cfg)
 
-    def lab_rhs(t, y):
+    def lab_rhs(y):
         return np.array([y[1], bright.eom_rhs(y[0], cfg.eta0, cfg.zeta0, cfg.C, cfg.D)])
 
     lab = abm4_integrate(OdeSystem(2, lab_rhs), np.array([cfg.zeta0, -2.0 * cfg.xi0]),
-                         0.0, cfg.t_max, 2.0 * cfg.dt_ode)
-    stride = step_count(0.0, cfg.sample_step, 2.0 * cfg.dt_ode)
+                         cfg.t_max, 2.0 * cfg.dt_ode)
+    stride = step_count(cfg.sample_step, 2.0 * cfg.dt_ode)
     assert lab.times[::stride] == pytest.approx(rec.times, rel=1e-12, abs=1e-15)
     assert np.array_equal(rec.centers["eom"], lab.states[::stride, 0])
     assert rec.centers["eom"][-1] != rec.centers["eom"][0]
@@ -454,9 +454,9 @@ def test_edge_crossing_raises_before_the_march_ends(monkeypatch):
     steps = []
     real_step = pde_engine.rk4_step
 
-    def counting_step(rhs_into, t, u, dt, work):
-        steps.append(t)
-        real_step(rhs_into, t, u, dt, work)
+    def counting_step(rhs_into, u, dt, work):
+        steps.append(dt)
+        real_step(rhs_into, u, dt, work)
 
     monkeypatch.setattr(pde_engine, "rk4_step", counting_step)
     cfg = ExperimentConfig(mode="dark", A0=0.9, x0_0=9.0, t_max=5.0, dt_pde=0.03125,
@@ -466,6 +466,25 @@ def test_edge_crossing_raises_before_the_march_ends(monkeypatch):
         run_experiment(cfg)
     assert 0 < len(steps) < 160
     assert len(steps) % cfg.sample_interval == 0
+
+
+def test_particle_tiers_stop_at_the_profile_edge(tmp_path, capsys):
+    # ode-taylor stops where the center leaves the profile, here the grid
+    # [-150, 150]; so must the particle tiers, which read no profile and
+    # completed off the grid: this bright eom crossed x = 150 near t = 55.7
+    # and the singularity at x = 200 after it
+    bright_run = ExperimentConfig(mode="bright", eta0=0.5, xi0=-1.0, t_max=150.0,
+                                  tiers=("eom",))
+    with pytest.raises(RangeError, match=r"center 150\.0\d* outside profile validity"):
+        run_experiment(bright_run)
+    # and these dark ones ended at x0 = -284.05 (eom) and -373.73 (eom-a)
+    cfg = tmp_path / "eom.cfg"
+    cfg.write_text("mode = dark\nA0 = -0.9\nt_max = 300\ndt_ode = 1e-2\n")
+    for tier in ("eom", "eom-a"):
+        out = tmp_path / f"{tier}.csv"
+        assert cli.main(["run", "--config", str(cfg), "--tiers", tier, "--out", str(out)]) == 3
+        assert "center -150.0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_run_keeps_the_norm_drift_flag():

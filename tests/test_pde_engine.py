@@ -32,9 +32,9 @@ from gpsol import dark_soliton as dark
 
 
 def _rhs(problem, field):
-    """du/dt of the field kernel at t = 0; the clamped rows read zero."""
+    """du/dt of the field kernel; the clamped rows read zero."""
     out = np.zeros(problem.grid.n_points, dtype=np.complex128)
-    return pde_engine._rhs_kernel(problem)(0.0, field.values, out)
+    return pde_engine._rhs_kernel(problem)(field.values, out)
 
 
 def _dark_setup(x_lim, n):
@@ -187,6 +187,10 @@ def test_evolve_validation():
     other = build_grid(-15.0, 15.0, 321)
     with pytest.raises(ConfigurationError):
         evolve(problem, ComplexField(other, np.ones(321)), 0.0, 1.0, 1e-4, 1)
+    for cadence in (2.5, 2.0, True, "2"):  # a cast would march 2.5 at 2 and True at 1
+        with pytest.raises(ConfigurationError, match="sample_every must be an integer"):
+            evolve(problem, field, 0.0, 1e-2, 1e-4, cadence)
+    assert evolve(problem, field, 0.0, 1e-2, 1e-4, np.int64(2)).times.shape == (51,)
 
 
 def test_abm4_has_its_own_stability_bound(monkeypatch):
@@ -199,9 +203,9 @@ def test_abm4_has_its_own_stability_bound(monkeypatch):
     steps = []
     real_step = pde_engine.rk4_step
 
-    def counting_step(rhs_into, t, u, dt, work):
-        steps.append(t)
-        real_step(rhs_into, t, u, dt, work)
+    def counting_step(rhs_into, u, dt, work):
+        steps.append(dt)
+        real_step(rhs_into, u, dt, work)
 
     monkeypatch.setattr(pde_engine, "rk4_step", counting_step)
     with pytest.raises(ConfigurationError, match="abm4 stability bound"):
@@ -315,12 +319,12 @@ def test_consumer_density_and_norm_are_bitwise(variant):
 _EPS = np.finfo(np.float64).eps
 
 
-def _reference_rk4_step(rhs, t, y, dt):
+def _reference_rk4_step(rhs, y, dt):
     """The allocating RK4 step that the in-place one replaced."""
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, y + dt * k3)
+    k1 = rhs(y)
+    k2 = rhs(y + (0.5 * dt) * k1)
+    k3 = rhs(y + (0.5 * dt) * k2)
+    k4 = rhs(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -336,7 +340,7 @@ def _reference_rhs(problem):
     adv_int = adv[2:-2] if u_frame else None
     veff_int = -0.5 * pot[2:-2] if u_frame and pot is not None else None
 
-    def rhs_array(t, u):
+    def rhs_array(u):
         ui = u[2:-2]
         lap = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * ui
                + 16.0 * u[3:-1] - u[4:]) * c2
@@ -360,28 +364,27 @@ def _reference_rhs(problem):
 
 
 def _reference_march(rhs_array, u0, dt, n_steps, every, stepper):
-    """Samples from the allocating RK4 and list-history ABM4 steps, from t = 0."""
+    """Samples from the allocating RK4 and list-history ABM4 steps."""
     u = u0.copy()
     fields = [u]
     hist = []  # newest first
     for k in range(n_steps):
-        t = k * dt
         if stepper == "rk4":
-            u = _reference_rk4_step(rhs_array, t, u, dt)
+            u = _reference_rk4_step(rhs_array, u, dt)
         else:
             if not hist:
-                hist.append(rhs_array(t, u))
+                hist.append(rhs_array(u))
             if len(hist) < 4:
-                u = _reference_rk4_step(rhs_array, t, u, dt)
-                hist.insert(0, rhs_array(t + dt, u))
+                u = _reference_rk4_step(rhs_array, u, dt)
+                hist.insert(0, rhs_array(u))
             else:
                 f0, f1, f2, f3 = hist
                 u_pred = u + dt * (_AB4[0] * f0 + _AB4[1] * f1
                                    + _AB4[2] * f2 + _AB4[3] * f3)
-                f_pred = rhs_array(t + dt, u_pred)
+                f_pred = rhs_array(u_pred)
                 u = u + dt * (_AM4[0] * f_pred + _AM4[1] * f0
                               + _AM4[2] * f1 + _AM4[3] * f2)
-                hist.insert(0, rhs_array(t + dt, u))
+                hist.insert(0, rhs_array(u))
                 hist.pop()
         if (k + 1) % every == 0:
             fields.append(u)
@@ -429,7 +432,7 @@ def test_buffered_steps_equal_allocating_reference(variant, stepper, kind):
     norms = np.array([pde_engine._norm(density(f), grid.dx, inv_g, work) for f in expected])
     assert np.max(np.abs(traj.conserved - norms) / np.abs(norms)) <= 32 * _EPS
     assert np.array_equal(field0.values, values0)
-    assert (np.max(np.abs(_rhs(problem, field0) - _reference_rhs(problem)(0.0, values0)))
+    assert (np.max(np.abs(_rhs(problem, field0) - _reference_rhs(problem)(values0)))
             <= 32 * _EPS * np.max(np.abs(values0)) / grid.dx ** 2)
 
 
@@ -440,9 +443,9 @@ def test_integrators_equal_allocating_reference(mode, monkeypatch):
     systems = []
     real_abm4 = harness.abm4_integrate
 
-    def capture(system, y0, t0, t_end, dt):
-        systems.append((system, y0, t0, t_end, dt))
-        return real_abm4(system, y0, t0, t_end, dt)
+    def capture(system, y0, t_end, dt):
+        systems.append((system, y0, t_end, dt))
+        return real_abm4(system, y0, t_end, dt)
 
     monkeypatch.setattr(harness, "abm4_integrate", capture)
     if mode == "dark":
@@ -451,10 +454,10 @@ def test_integrators_equal_allocating_reference(mode, monkeypatch):
         config = ExperimentConfig(mode="bright", eta0=0.5, xi0=0.25, t_max=0.2,
                                   tiers=("ode-full",))
     run_experiment(config)
-    (system, y0, t0, t_end, dt), = systems
-    n_steps = int(round((t_end - t0) / dt))
+    (system, y0, t_end, dt), = systems
+    n_steps = int(round(t_end / dt))
     for integrate, stepper in ((rk4_integrate, "rk4"), (abm4_integrate, "abm4")):
-        traj = integrate(system, y0, t0, t_end, dt)
+        traj = integrate(system, y0, t_end, dt)
         expected = _reference_march(system.rhs, y0, dt, n_steps, 1, stepper)
         assert np.array_equal(traj.states, expected)
 
@@ -471,13 +474,13 @@ def test_field_steps_allocate_nothing(step):
     u = dark.ansatz(dark.DarkSolitonParams(A=0.5, x0=0.0), grid).values.copy()
     dt = config.dt_pde
     work = []
-    for k in range(5):  # fills the work arrays and the ABM4 history
-        step(rhs_into, k * dt, u, dt, work)
+    for _ in range(5):  # fills the work arrays and the ABM4 history
+        step(rhs_into, u, dt, work)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        for k in range(5, 25):
-            step(rhs_into, k * dt, u, dt, work)
+        for _ in range(20):
+            step(rhs_into, u, dt, work)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
