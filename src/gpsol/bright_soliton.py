@@ -58,7 +58,8 @@ class BrightSolitonParams:
 def ansatz(params: BrightSolitonParams, grid: SpatialGrid) -> ComplexField:
     """Field samples of 2 i eta exp(-2 i xi x - i phi) sech(2 eta (x - zeta))."""
     x = grid.x
-    envelope = 2.0 * params.eta / np.cosh(2.0 * params.eta * (x - params.zeta))
+    with np.errstate(over="ignore"):  # cosh overflows far out, where 1/inf is exactly 0
+        envelope = 2.0 * params.eta / np.cosh(2.0 * params.eta * (x - params.zeta))
     vals = 1j * envelope * np.exp(-1j * (2.0 * params.xi * x + params.phi))
     return ComplexField(grid, vals)
 

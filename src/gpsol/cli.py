@@ -8,13 +8,17 @@ Subcommands:
 
 Exit codes: 0 success, 1 I/O failure, 2 bad configuration, 3 numerical
 failure (instability, range or extraction breakdown), 4 singular profile
-inside the domain.  A run whose field norm drifted past its tolerance
-prints a warning line with the drift to stderr; its exit code and CSV stay.
+inside the domain.  run rejects an output path that names a directory or
+lies in a missing one with 1 before any tier runs.  A run whose field norm
+drifted past its tolerance prints a warning line with the drift to stderr;
+its exit code and CSV stay.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 from dataclasses import fields
@@ -70,13 +74,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if value is not None:
             pairs[key] = value
     config = config_from_mapping(pairs)
-    _write(run_experiment(config), config.out_path or "run.csv")
+    path = config.out_path or "run.csv"
+    # the errors opening the file would raise, before any tier runs; no file is made
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    _write(run_experiment(config), path)
     return 0
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    import os
-
     configs = scenario(args.name)
     os.makedirs(args.out_dir, exist_ok=True)
     for index, config in enumerate(configs):

@@ -13,31 +13,30 @@ amplitude diagnostics and the PDE conserved norm, from which a record
 derives its differences against the PDE center and its norm drift flag.
 Records serialize to CSV in a fixed column schema, byte-identical per config.
 
-The pde tier reads each field sample while the field marches (evolve's
-on_sample consumer) and keeps no snapshot, so a run's field memory is
-bounded by the grid size, not by t_max.  It reads the center and the
-amplitude off the density evolve hands it, and allocates no grid-length row.
+Everything that differs between the modes is one row of _MODES, and no
+other code branches on the mode: the time frame (lab time for dark,
+tau = t/2 for bright, where the parameter ODEs live and the Newtonian eom
+is written as d/dtau = 2 d/dt), the start soliton, whose type checks its
+range, the pde tier's equation, initial field and sample reader, and the
+reduced tiers (all but pde).
 
 The fields of ExperimentConfig are the one table of config keys: each
 annotation picks the value's parser, a mode-specific key names its mode in
-the field's metadata, and the CLI derives one override flag per field.
-However a config is built, each mode rule has one owner: the metadata
-says which keys a mode takes and requires, the soliton _SOLITON builds
-checks its range (and starts the pde tier), and _REDUCED lists the tiers.
+the field's metadata (which keys a mode takes and requires), and the CLI
+derives one override flag per field.
 
-The reduced tiers (all but pde) are rows of one table, _REDUCED: per mode
-and tier, the initial state, a right-hand side returning a tuple, and the
-state columns of the center and the amplitude.  ode-full and ode-taylor
-march the same state, the soliton's parameters: (A, x0) for dark and
-(eta, xi, zeta) for bright.  Each mode has one time
-frame: lab time for dark, tau = t/2 for bright, where the parameter ODEs
-live and the Newtonian eom is written as d/dtau = 2 d/dt.  All requested
-tiers of a run march together as one stacked system in a single ABM4 call,
-so the per-step cost of the integrator is paid once per run.  The
-integrator acts elementwise, so each tier's trajectory is bitwise the one
-it has alone, and scaling by 2 is exact, so the bright eom is bitwise a
-lab-time march at 2 dt_ode.  When two tiers would both fail, the one that
-fails first in time raises.
+The pde tier hands each field sample's density, as evolve marches, to the
+row's reader, which returns the center and the amplitude; no snapshot is
+kept, so a run's field memory is bounded by the grid size, not by t_max.
+A reduced tier's row holds its initial state, a right-hand side returning
+a tuple, and the state columns of the center and the amplitude; ode-full
+and ode-taylor march the soliton's parameters, (A, x0) for dark and
+(eta, xi, zeta) for bright.  All requested tiers of a run march together
+as one stacked system in a single ABM4 call, so the per-step cost of the
+integrator is paid once per run.  The integrator acts elementwise, so each
+tier's trajectory is bitwise the one it has alone, and scaling by 2 is
+exact, so the bright eom is bitwise a lab-time march at 2 dt_ode.  When
+two tiers would both fail, the one that fails first in time raises.
 """
 
 from __future__ import annotations
@@ -80,9 +79,6 @@ EDGE_MARGIN = 30.0  # soliton keeps this distance from both grid edges
 
 CSV_HEADER = ("t,x0_pde,x0_ode_full,x0_ode_taylor,x0_eom,x0_eom_a,"
               "aux_pde,aux_ode,conserved,delta_ode_full,delta_eom,delta_eom_a")
-
-# time runs at this rate in each mode's frame: bright uses tau = t/2
-_FRAME_RATE = {"dark": 1.0, "bright": 0.5}
 
 
 def _number(cast, noun: str):
@@ -163,18 +159,19 @@ class ExperimentConfig:
         if not self.tiers:
             raise ConfigurationError("at least one tier is required")
         object.__setattr__(self, "tiers", tuple(self.tiers))
+        row = _MODES[self.mode]
         # a tier of this mode is pde or a row of its reduced table
         for tier in self.tiers:
-            if tier not in ("pde", *_REDUCED[self.mode]):
+            if tier not in ("pde", *row.reduced):
                 raise ConfigurationError(f"unknown tier {tier!r} for mode {self.mode}")
         if len(set(self.tiers)) != len(self.tiers):
             raise ConfigurationError("duplicate tier requested")
         # the soliton checks its own range
         try:
-            _SOLITON[self.mode](self)
+            row.soliton(self)
         except ParameterError as err:
             raise ConfigurationError(str(err)) from None
-        start = self.x0_0 if self.mode == "dark" else self.zeta0
+        start = getattr(self, row.start)
         # the grid and the profile validate themselves; then the soliton
         # must start away from the edges
         make_inverse_square(self.C, self.D,
@@ -192,13 +189,13 @@ class ExperimentConfig:
             )
         # ODE tiers sample on the same lab-time axis; bright tiers run in
         # the half-rate frame, so their stride halves
-        stride = step_count(_FRAME_RATE[self.mode] * self.sample_step, self.dt_ode)
+        stride = step_count(row.rate * self.sample_step, self.dt_ode)
         # at least these float64 words grow with t_max or n_points: the time
         # axis and a series per CSV column, the ODE states and times, the
         # grid's x and the profile's 4 tables, and the pde tier's 11 complex
         # rows (the field, the kernel's 5-row stencil table, 5 stepper rows)
         n_rows = n_pde // self.sample_interval + 1
-        width = sum(len(_REDUCED[self.mode][t].y0(self)) for t in self.tiers if t != "pde")
+        width = sum(len(row.reduced[t].y0(self)) for t in self.tiers if t != "pde")
         ode = ((n_rows - 1) * stride + 1) * (width + 1) if width else 0
         grid_rows = 5 + (22 if "pde" in self.tiers else 0)
         words = n_rows * len(CSV_HEADER.split(",")) + ode + grid_rows * self.n_points
@@ -219,14 +216,6 @@ class ExperimentConfig:
     @property
     def n_samples(self) -> int:
         return step_count(self.t_max, self.dt_pde) // self.sample_interval + 1
-
-
-# per mode, the soliton a config starts from; its type checks the range
-_SOLITON = {
-    "dark": lambda c: dark.DarkSolitonParams(A=c.A0, x0=c.x0_0),
-    "bright": lambda c: bright.BrightSolitonParams(eta=c.eta0, xi=c.xi0,
-                                                   zeta=c.zeta0, phi=c.phi0),
-}
 
 
 def _parse_pairs(source: str) -> dict[str, str]:
@@ -287,13 +276,9 @@ class RunRecord:
     deltas: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        n = self.times.shape[0]
-        for name, series in self.centers.items():
-            if series.shape[0] != n:
-                raise ConfigurationError(f"series {name!r} is off the time axis")
-        for name in ("aux_pde", "aux_ode", "conserved"):
-            series = getattr(self, name)
-            if series is not None and series.shape[0] != n:
+        aux = ((name, getattr(self, name)) for name in ("aux_pde", "aux_ode", "conserved"))
+        for name, series in [*self.centers.items(), *aux]:
+            if series is not None and series.shape[0] != self.times.shape[0]:
                 raise ConfigurationError(f"series {name!r} is off the time axis")
         self.deltas = {tier: self.centers[tier] - self.centers["pde"] for tier in _DELTA_COLUMN
                        if tier in self.centers and "pde" in self.centers}
@@ -305,22 +290,14 @@ class RunRecord:
             pde_engine.norm_drift(self.conserved) > pde_engine.NORM_DRIFT_TOL)
 
 
-def _state_params(y, config):
-    """The soliton module and the parameters a state of ode-full or ode-taylor holds."""
-    if config.mode == "dark":
-        return dark, dark.DarkSolitonParams(A=float(y[0]), x0=float(y[1]))
-    return bright, bright.BrightSolitonParams(eta=float(y[0]), xi=float(y[1]),
-                                              zeta=float(y[2]))
-
-
 def _full(y, config, profile, grid):
-    module, params = _state_params(y, config)
-    return module.rhs_full(params, profile, grid)
+    row = _MODES[config.mode]
+    return row.rhs_full(row.params(y), profile, grid)
 
 
 def _taylor(y, config, profile, grid):
-    module, params = _state_params(y, config)
-    return module.rhs_taylor(params, profile)
+    row = _MODES[config.mode]
+    return row.rhs_taylor(row.params(y), profile)
 
 
 def _inside(x, profile):
@@ -346,12 +323,8 @@ def _bright_eom(y, config, profile, grid):
 
 @dataclass(frozen=True)
 class _Reduced:
-    """One reduced tier: initial state, right-hand side, columns.
-
-    rhs(y, config, profile, grid) returns the tier's derivative in the
-    mode's frame as a tuple; center and amplitude are columns of the tier's
-    own state.
-    """
+    """One reduced tier: initial state, rhs(y, config, profile, grid) -> the derivative
+    in the mode's frame as a tuple, and the state's center and amplitude columns."""
 
     y0: Callable[[ExperimentConfig], tuple[float, ...]]
     rhs: Callable[..., tuple]
@@ -359,19 +332,59 @@ class _Reduced:
     amplitude: int | None = None
 
 
-# per mode, in order of preference for the amplitude series
-_REDUCED = {
-    "dark": {
-        "ode-full": _Reduced(lambda c: (c.A0, c.x0_0), _full, 1, 0),
-        "ode-taylor": _Reduced(lambda c: (c.A0, c.x0_0), _taylor, 1, 0),
-        "eom": _Reduced(lambda c: (c.x0_0, c.A0), _dark_eom, 0),
-        "eom-a": _Reduced(lambda c: (c.x0_0, c.A0), _dark_eom_a, 0),
-    },
-    "bright": {
-        "ode-full": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0), _full, 2, 0),
-        "ode-taylor": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0), _taylor, 2, 0),
-        "eom": _Reduced(lambda c: (c.zeta0, -2.0 * c.xi0), _bright_eom, 0),
-    },
+@dataclass(frozen=True)
+class _Mode:
+    """One mode's row; its functions look soliton names up when called, as patches need."""
+
+    rate: float  # time runs at this rate in the mode's frame
+    soliton: Callable[[ExperimentConfig], object]  # the start; its type checks the range
+    start: str  # the config key of the start position
+    params: Callable  # the soliton an ode-full or ode-taylor state holds
+    rhs_full: Callable
+    rhs_taylor: Callable
+    variant: str  # the pde tier's equation
+    ansatz: Callable  # (soliton, grid) -> the initial field
+    reader: Callable  # (config, grid) -> once per run, density -> (center, amplitude)
+    reduced: dict[str, _Reduced]  # in order of preference for the amplitude series
+
+
+def _dark_reader(config, grid):
+    probe = dark.default_background_probe(grid, config.x0_0)
+    return lambda dens: (dark.extract_center(dens, grid, probe),
+                         np.sqrt(max(float(np.min(dens)), 0.0)))
+
+
+def _bright_reader(config, grid):
+    work = np.empty(grid.n_points)  # x |u|^2, kept for the run
+    return lambda dens: (bright.extract_center(dens, grid, work), 0.25 * simpson(dens, grid.dx))
+
+
+_MODES = {
+    "dark": _Mode(
+        rate=1.0, start="x0_0", soliton=lambda c: dark.DarkSolitonParams(A=c.A0, x0=c.x0_0),
+        params=lambda y: dark.DarkSolitonParams(A=float(y[0]), x0=float(y[1])),
+        rhs_full=lambda p, profile, grid: dark.rhs_full(p, profile, grid),
+        rhs_taylor=lambda p, profile: dark.rhs_taylor(p, profile),
+        variant="transformed-dark-rotated", ansatz=lambda s, grid: dark.ansatz(s, grid),
+        reader=_dark_reader, reduced={
+            "ode-full": _Reduced(lambda c: (c.A0, c.x0_0), _full, 1, 0),
+            "ode-taylor": _Reduced(lambda c: (c.A0, c.x0_0), _taylor, 1, 0),
+            "eom": _Reduced(lambda c: (c.x0_0, c.A0), _dark_eom, 0),
+            "eom-a": _Reduced(lambda c: (c.x0_0, c.A0), _dark_eom_a, 0),
+        }),
+    "bright": _Mode(  # tau = t/2
+        rate=0.5, start="zeta0", soliton=lambda c: bright.BrightSolitonParams(
+            eta=c.eta0, xi=c.xi0, zeta=c.zeta0, phi=c.phi0),
+        params=lambda y: bright.BrightSolitonParams(eta=float(y[0]), xi=float(y[1]),
+                                                    zeta=float(y[2])),
+        rhs_full=lambda p, profile, grid: bright.rhs_full(p, profile, grid),
+        rhs_taylor=lambda p, profile: bright.rhs_taylor(p, profile),
+        variant="transformed-bright", ansatz=lambda s, grid: bright.ansatz(s, grid),
+        reader=_bright_reader, reduced={
+            "ode-full": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0), _full, 2, 0),
+            "ode-taylor": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0), _taylor, 2, 0),
+            "eom": _Reduced(lambda c: (c.zeta0, -2.0 * c.xi0), _bright_eom, 0),
+        }),
 }
 
 
@@ -383,16 +396,16 @@ def _reduced_tiers(config: ExperimentConfig, profile: InhomogeneityProfile,
     each tier owning a slice of the state; the integrator acts
     elementwise, so every tier's trajectory is the one it would have alone.
     """
-    table = _REDUCED[config.mode]
-    tiers = [tier for tier in table if tier in config.tiers]
+    mode = _MODES[config.mode]
+    tiers = [tier for tier in mode.reduced if tier in config.tiers]
     if not tiers:
         return {}, None
     y0: list[float] = []
     parts = []  # (tier, row, the tier's slice of the stacked state)
     for tier in tiers:
         start = len(y0)
-        y0.extend(table[tier].y0(config))
-        parts.append((tier, table[tier], slice(start, len(y0))))
+        y0.extend(mode.reduced[tier].y0(config))
+        parts.append((tier, mode.reduced[tier], slice(start, len(y0))))
 
     def rhs(y):
         out: list[float] = []
@@ -400,10 +413,9 @@ def _reduced_tiers(config: ExperimentConfig, profile: InhomogeneityProfile,
             out.extend(row.rhs(y[part], config, profile, grid))
         return np.array(out)
 
-    rate = _FRAME_RATE[config.mode]
-    traj = abm4_integrate(OdeSystem(len(y0), rhs), np.array(y0), rate * config.t_max,
+    traj = abm4_integrate(OdeSystem(len(y0), rhs), np.array(y0), mode.rate * config.t_max,
                           config.dt_ode)
-    stride = step_count(rate * config.sample_step, config.dt_ode)
+    stride = step_count(mode.rate * config.sample_step, config.dt_ode)
     centers: dict[str, np.ndarray] = {}
     amplitude = None
     for tier, row, part in parts:
@@ -439,28 +451,16 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     aux_pde = conserved = None
     if "pde" in config.tiers:
-        soliton = _SOLITON[config.mode](config)
-        if config.mode == "dark":
-            field0 = dark.ansatz(soliton, grid)
-            variant = "transformed-dark-rotated"
-            probe = dark.default_background_probe(grid, config.x0_0)
-        else:
-            field0 = bright.ansatz(soliton, grid)
-            variant = "transformed-bright"
-        problem = EvolutionProblem(variant, profile, grid)
+        row = _MODES[config.mode]
+        field0 = row.ansatz(row.soliton(config), grid)
+        read = row.reader(config, grid)
+        problem = EvolutionProblem(row.variant, profile, grid)
         pde_centers = np.empty(n_samples)
         aux_pde = np.empty(n_samples)
         lo, hi = config.x_min + EDGE_MARGIN, config.x_max - EDGE_MARGIN
 
-        work = np.empty(grid.n_points)  # bright's x |u|^2, kept for the run
-
         def take(k: int, u: np.ndarray, dens: np.ndarray) -> None:
-            if config.mode == "dark":
-                center = dark.extract_center(dens, grid, probe)
-                aux_pde[k] = np.sqrt(max(float(np.min(dens)), 0.0))
-            else:
-                center = bright.extract_center(dens, grid, work)
-                aux_pde[k] = 0.25 * simpson(dens, grid.dx)
+            center, aux_pde[k] = read(dens)
             if not lo <= center <= hi:
                 raise RangeError(
                     f"soliton center {center:g} within {EDGE_MARGIN:g} of a grid "

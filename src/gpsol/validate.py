@@ -147,6 +147,29 @@ def _check_bright_gradient():
     return worst <= 1e-10, f"bright force-vs-potential mismatch {worst:.2e}"
 
 
+def _check_taylor_newtonian():
+    # with the profile frozen at the center, the Taylor tiers are the
+    # Newtonian equations: dark dA/dt = eom_rhs(x0, v=A) with dx0/dt = A, and
+    # bright -d xi/d tau = eom_rhs at the pinned amplitude eta_closed_form;
+    # 100 random states per profile, x0 serving as the bright center too
+    g = build_grid(-150.0, 150.0, 257)
+    rng = np.random.default_rng(13)
+    dark_gap = bright_gap = 0.0
+    for C, D in ((1.0, -200.0), (-1.0, 200.0), (0.5, -300.0)):
+        prof = make_inverse_square(C, D, g)
+        for A, x0, eta0, zeta0, xi in rng.uniform((-0.9, -150, 0.1, -150, -1),
+                                                  (0.9, 150, 1.0, 150, 1), (100, 5)):
+            dA, dx0 = dark.rhs_taylor(dark.DarkSolitonParams(A=A, x0=x0), prof)
+            want = dark.eom_rhs(x0, A, C, D)
+            dark_gap = max(dark_gap, abs(dA - want) / abs(want), abs(dx0 - A))
+            eta = bright.eta_closed_form(x0, eta0, zeta0, C, D)
+            dxi = bright.rhs_taylor(bright.BrightSolitonParams(eta=eta, xi=xi, zeta=x0), prof)[1]
+            want = bright.eom_rhs(x0, eta0, zeta0, C, D)
+            bright_gap = max(bright_gap, abs(-dxi - want) / abs(want))
+    return max(dark_gap, bright_gap) <= 1e-13, (f"Taylor against Newtonian rel gap dark "
+                                                f"{dark_gap:.1e}, bright {bright_gap:.1e}")
+
+
 def _check_directions():
     g = build_grid(-150.0, 150.0, 4097)
     prof = make_inverse_square(1.0, -200.0, g)
@@ -185,6 +208,7 @@ _CHECKS = (
     ("bright-gradient", _check_bright_gradient),
     ("force-directions", _check_directions),
     ("pde-conservation", _check_pde_conservation),
+    ("taylor-newtonian", _check_taylor_newtonian),
 )
 
 

@@ -59,6 +59,16 @@ def test_ansatz_shape(grid):
     assert simpson(dens, grid.dx) == pytest.approx(4.0 * p.eta, rel=1e-12)
 
 
+def test_ansatz_is_quiet_on_a_wide_grid():
+    # 2 eta |x - zeta| reaches 800 here, past cosh's float range near 710;
+    # the tail is exactly 0 and no overflow warning escapes
+    wide = build_grid(-800.0, 800.0, 4097)
+    values = bright.ansatz(bright.BrightSolitonParams(0.5, 0.0, 0.0), wide).values
+    assert np.all(values[np.abs(wide.x) > 720.0] == 0.0)
+    near = np.abs(wide.x) < 700.0
+    assert np.array_equal(values[near], 1j / np.cosh(wide.x[near]))
+
+
 def test_full_rhs_against_quadrature_oracle(grid, profile):
     for (eta, xi, zeta), expected in FULL_RHS_ORACLE.items():
         got = bright.rhs_full(

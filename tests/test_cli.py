@@ -161,6 +161,23 @@ def test_run_rejects_over_bound_dt_pde_before_any_tier(tmp_path, capsys, monkeyp
     assert not (tmp_path / "run.csv").exists()
 
 
+def test_run_checks_its_output_path_before_any_tier(tmp_path, capsys, monkeypatch):
+    # an output path open() would reject fails the run before the
+    # experiment, not after it, and leaves no file behind
+    def never(config):
+        raise AssertionError("run_experiment called for an unwritable output path")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    cfg = _write_config(tmp_path, "mode = dark\nA0 = 0.5\nt_max = 2\ntiers = pde,ode-full\n")
+    missing = tmp_path / "absent" / "x.csv"
+    for out, errno in ((missing, "[Errno 2]"), (tmp_path, "[Errno 21]")):
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and errno in err and str(out) in err
+    assert not missing.parent.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["experiment.cfg"]
+
+
 def test_run_reports_instability(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gpsol import bright_soliton as bright
-from gpsol import cli, harness, pde_engine
+from gpsol import cli, dark_soliton as dark, harness, pde_engine
 from gpsol.errors import ConfigurationError, RangeError, SingularityError
 from gpsol.harness import (
     CSV_HEADER,
@@ -21,6 +21,7 @@ from gpsol.harness import (
     scenario,
     write_csv,
 )
+from gpsol.grid_field import build_grid, density, simpson
 from gpsol.ode_engine import OdeSystem, abm4_integrate, step_count
 
 GOLDEN_CONFIG = """
@@ -497,6 +498,35 @@ def test_run_keeps_the_norm_drift_flag():
     assert run_experiment(default).norm_drift_warning is False
     reduced = ExperimentConfig(mode="dark", A0=0.25, t_max=0.5, tiers=("ode-full",))
     assert run_experiment(reduced).norm_drift_warning is None
+
+
+@pytest.mark.parametrize("mode", ["dark", "bright"])
+def test_first_field_sample_is_the_mode_reader_on_the_ansatz(mode):
+    # sample 0 is the mode's extractor and amplitude applied to the ansatz
+    # density: dark's squared-dip centroid against the far probe and
+    # sqrt(min |u|^2), bright's centroid and a quarter of the mass
+    small = dict(t_max=0.5, dt_pde=0.05, x_min=-50.0, x_max=50.0, n_points=257,
+                 sample_interval=5, tiers=("pde",))
+    if mode == "dark":
+        # the dip sits on a grid point, 10 dx right of the origin
+        cfg = ExperimentConfig(mode="dark", A0=0.3, x0_0=3.90625, **small)
+        grid = build_grid(cfg.x_min, cfg.x_max, cfg.n_points)
+        dens = density(dark.ansatz(dark.DarkSolitonParams(A=0.3, x0=3.90625), grid).values)
+        want = (dark.extract_center(dens, grid, dark.default_background_probe(grid, 3.90625)),
+                np.sqrt(np.min(dens)))
+    else:
+        cfg = ExperimentConfig(mode="bright", eta0=0.5, xi0=0.25, zeta0=-3.0, phi0=0.5,
+                               **small)
+        grid = build_grid(cfg.x_min, cfg.x_max, cfg.n_points)
+        dens = density(bright.ansatz(bright.BrightSolitonParams(0.5, 0.25, -3.0, 0.5),
+                                     grid).values)
+        want = (bright.extract_center(dens, grid, np.empty(grid.n_points)),
+                0.25 * simpson(dens, grid.dx))
+    rec = run_experiment(cfg)
+    assert set(rec.centers) == {"pde"} and rec.times.shape == (3,)
+    assert (rec.centers["pde"][0], rec.aux_pde[0]) == want
+    # and the reader measures the start: a coarse grid's quadrature is off by ~1e-4
+    assert want == pytest.approx((3.90625, 0.3) if mode == "dark" else (-3.0, 0.5), abs=1e-3)
 
 
 @pytest.mark.parametrize("mode", ["dark", "bright"])

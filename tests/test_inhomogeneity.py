@@ -261,3 +261,36 @@ def test_coefficient_tables_are_read_only():
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+def _force_parts(period):
+    """Dark dA/dt and bright d xi/d tau at rest, split into the derivative term
+    and V_eff, on g = 1/(1 + 0.1 cos(2 pi x/period))^2 centered at period/8:
+    (whole, derivative part, V_eff part) per mode, from the quadratures alone."""
+    grid = build_grid(-150.0, 150.0, 4097)
+    k = 2.0 * np.pi / period
+    inv_sqrt_g = lambda x: 1.0 + 0.1 * np.cos(k * x)
+    d1 = lambda x: -0.1 * k * np.sin(k * x)
+    d2 = lambda x: -0.1 * k * k * np.cos(k * x)
+    profiles = [make_generic(inv_sqrt_g, *pair, -150.0, 150.0)
+                for pair in ((d1, d2), (d1, np.zeros_like), (np.zeros_like, d2))]
+    dark_soliton = dark.DarkSolitonParams(A=0.0, x0=period / 8.0)
+    bright_soliton = bright.BrightSolitonParams(eta=0.5, xi=0.0, zeta=period / 8.0)
+    return {"dark": [dark.rhs_full(dark_soliton, p, grid)[0] for p in profiles],
+            "bright": [bright.rhs_full(bright_soliton, p, grid)[1] for p in profiles]}
+
+
+def test_derivative_term_carries_the_force_of_a_slow_profile():
+    # the paper's point: on a profile slow against the soliton width the
+    # derivative term, not V_eff, drives the soliton; V_eff takes over only
+    # when the period nears the width (measured ratios V_eff/derivative:
+    # -3.84e-3 dark and 7.72e-3 bright at period 60, -9.70 bright at 4)
+    slow, fast = _force_parts(60.0), _force_parts(4.0)
+    for parts in (slow, fast):
+        for whole, derivative, veff in parts.values():
+            assert abs(derivative + veff - whole) <= 1e-12 * abs(whole)
+    for mode in ("dark", "bright"):
+        _, derivative, veff = slow[mode]
+        assert abs(veff / derivative) < 1e-2, mode
+    _, derivative, veff = fast["bright"]
+    assert abs(veff / derivative) > 1.0
