@@ -24,8 +24,7 @@ import sys
 from dataclasses import fields
 
 from . import pde_engine
-from .errors import (ConfigurationError, GpsolError, InstabilityError,
-                     SingularityError)
+from .errors import ConfigurationError, GpsolError, SingularityError
 from .harness import (SCENARIOS, ExperimentConfig, config_from_mapping,
                       run_experiment, scenario, write_csv, _parse_pairs)
 
@@ -117,8 +116,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_scenario(args)
         return _cmd_validate()
     except (GpsolError, OSError) as err:
-        when = f" (t = {err.t_fail:g})" if isinstance(err, InstabilityError) else ""
-        print(f"error: {err}{when}", file=sys.stderr)
+        print(f"error: {err}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
 
 

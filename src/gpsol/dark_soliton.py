@@ -7,10 +7,13 @@ been removed.  A is the depth/velocity parameter, x0 the center.
 Reduction hierarchy, from most to least faithful:
 
   rhs_full    adiabatic ODEs with the profile under the integrals
-  rhs_taylor  same after expanding the closed-form profile around the center
-  eom_rhs     Newtonian equation for the center with velocity factor, in
-              canonical form hamilton_rhs(x0, P) with P = s dx0/dt
-  eom_a_rhs   small-velocity form of the above
+  rhs_taylor  same after expanding the closed-form profile around the
+              center; the harness's eom tier reads this march
+  eom_rhs     the same model as a Newtonian equation for the center with
+              velocity factor, in canonical form hamilton_rhs(x0, P) with
+              P = s dx0/dt; no tier marches it, and gpsol validate checks
+              it against rhs_taylor
+  eom_a_rhs   small-velocity form of the above, the eom-a tier's equation
 
 The slow integrals are evaluated by Simpson quadrature over the window
 |x - x0| <= 17/B, outside which sech^2 drops below 1e-14; the extractor

@@ -35,9 +35,10 @@ class ExtractionError(GpsolError, ValueError):
 class InstabilityError(GpsolError, RuntimeError):
     """Time integration produced non-finite values.
 
-    Carries the simulation time at which the blow-up was detected.
+    Carries the simulation time at which the blow-up was detected, and
+    names it at the end of the message.
     """
 
     def __init__(self, message: str, t_fail: float):
-        super().__init__(message)
+        super().__init__(f"{message} at t = {t_fail:g}")
         self.t_fail = t_fail

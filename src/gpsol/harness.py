@@ -5,7 +5,8 @@ A run evolves one soliton with some subset of the model tiers
   pde         full field evolution (the reference)
   ode-full    adiabatic parameter ODEs with windowed quadratures
   ode-taylor  the same ODEs with the profile expanded at the center
-  eom         Newtonian center equation
+  eom         Newtonian center equation; on g = 1/(D + C x)^2 it is the
+              ode-taylor model, whose march it reads
   eom-a       small-velocity Newtonian equation (dark only)
 
 and records every tier's center on a shared lab-time axis, auxiliary
@@ -15,9 +16,9 @@ Records serialize to CSV in a fixed column schema, byte-identical per config.
 
 Everything that differs between the modes is one row of _MODES, and no
 other code branches on the mode: the time frame (lab time for dark,
-tau = t/2 for bright, where the parameter ODEs live and the Newtonian eom
-is written as d/dtau = 2 d/dt), the start soliton, whose type checks its
-range, the pde tier's equation, initial field and sample reader, and the
+tau = t/2 for bright, where the parameter ODEs live), the start soliton,
+whose type checks its range, the pde tier's equation, initial field and
+sample reader, the reduced models' start state and center column, and the
 reduced tiers (all but pde).
 
 The fields of ExperimentConfig are the one table of config keys: each
@@ -28,15 +29,15 @@ derives one override flag per field.
 The pde tier hands each field sample's density, as evolve marches, to the
 row's reader, which returns the center and the amplitude; no snapshot is
 kept, so a run's field memory is bounded by the grid size, not by t_max.
-A reduced tier's row holds its initial state, a right-hand side returning
-a tuple, and the state columns of the center and the amplitude; ode-full
-and ode-taylor march the soliton's parameters, (A, x0) for dark and
-(eta, xi, zeta) for bright.  All requested tiers of a run march together
-as one stacked system in a single ABM4 call, so the per-step cost of the
-integrator is paid once per run.  The integrator acts elementwise, so each
-tier's trajectory is bitwise the one it has alone, and scaling by 2 is
-exact, so the bright eom is bitwise a lab-time march at 2 dt_ode.  When
-two tiers would both fail, the one that fails first in time raises.
+A reduced tier's row names its model, a right-hand side on the soliton's
+parameters, (A, x0) for dark and (eta, xi, zeta) for bright, returning a
+tuple, and says whether the tier supplies the amplitude, the state's
+column 0.  Every model of a run starts from the mode's start state and
+marches once, so tiers that share a model read one trajectory; all models
+march together as one stacked system in a single ABM4 call, so the
+per-step cost of the integrator is paid once per run.  The integrator acts
+elementwise, so each model's trajectory is bitwise the one it has alone.
+When two models would both fail, the one that fails first in time raises.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ class ExperimentConfig:
             row.soliton(self)
         except ParameterError as err:
             raise ConfigurationError(str(err)) from None
-        start = getattr(self, row.start)
+        start = row.y0(self)[row.center]
         # the grid and the profile validate themselves; then the soliton
         # must start away from the edges
         make_inverse_square(self.C, self.D,
@@ -195,7 +196,7 @@ class ExperimentConfig:
         # grid's x and the profile's 4 tables, and the pde tier's 11 complex
         # rows (the field, the kernel's 5-row stencil table, 5 stepper rows)
         n_rows = n_pde // self.sample_interval + 1
-        width = sum(len(row.reduced[t].y0(self)) for t in self.tiers if t != "pde")
+        width = len(_models(row, self.tiers)) * len(row.y0(self))
         ode = ((n_rows - 1) * stride + 1) * (width + 1) if width else 0
         grid_rows = 5 + (22 if "pde" in self.tiers else 0)
         words = n_rows * len(CSV_HEADER.split(",")) + ode + grid_rows * self.n_points
@@ -307,29 +308,18 @@ def _inside(x, profile):
     return x
 
 
-def _dark_eom(y, config, profile, grid):
-    return y[1], dark.eom_rhs(_inside(y[0], profile), y[1], config.C, config.D)
-
-
 def _dark_eom_a(y, config, profile, grid):
-    return y[1], dark.eom_a_rhs(_inside(y[0], profile), config.C, config.D)
-
-
-def _bright_eom(y, config, profile, grid):
-    # the lab-time center equation (velocity -2 xi) written in tau = t/2
-    return 2.0 * y[1], 2.0 * bright.eom_rhs(_inside(y[0], profile), config.eta0,
-                                            config.zeta0, config.C, config.D)
+    return dark.eom_a_rhs(_inside(y[1], profile), config.C, config.D), y[0]
 
 
 @dataclass(frozen=True)
 class _Reduced:
-    """One reduced tier: initial state, rhs(y, config, profile, grid) -> the derivative
-    in the mode's frame as a tuple, and the state's center and amplitude columns."""
+    """One reduced tier: the model it reads, rhs(y, config, profile, grid) -> the
+    derivative of the mode's parameter state in the mode's frame as a tuple, and
+    whether it supplies the amplitude series (the state's column 0)."""
 
-    y0: Callable[[ExperimentConfig], tuple[float, ...]]
     rhs: Callable[..., tuple]
-    center: int
-    amplitude: int | None = None
+    amplitude: bool = False
 
 
 @dataclass(frozen=True)
@@ -338,7 +328,8 @@ class _Mode:
 
     rate: float  # time runs at this rate in the mode's frame
     soliton: Callable[[ExperimentConfig], object]  # the start; its type checks the range
-    start: str  # the config key of the start position
+    y0: Callable[[ExperimentConfig], tuple[float, ...]]  # the parameter ODEs' start state
+    center: int  # the state's center column, so y0[center] is the start position
     params: Callable  # the soliton an ode-full or ode-taylor state holds
     rhs_full: Callable
     rhs_taylor: Callable
@@ -361,67 +352,70 @@ def _bright_reader(config, grid):
 
 _MODES = {
     "dark": _Mode(
-        rate=1.0, start="x0_0", soliton=lambda c: dark.DarkSolitonParams(A=c.A0, x0=c.x0_0),
+        rate=1.0, soliton=lambda c: dark.DarkSolitonParams(A=c.A0, x0=c.x0_0),
         params=lambda y: dark.DarkSolitonParams(A=float(y[0]), x0=float(y[1])),
         rhs_full=lambda p, profile, grid: dark.rhs_full(p, profile, grid),
         rhs_taylor=lambda p, profile: dark.rhs_taylor(p, profile),
         variant="transformed-dark-rotated", ansatz=lambda s, grid: dark.ansatz(s, grid),
-        reader=_dark_reader, reduced={
-            "ode-full": _Reduced(lambda c: (c.A0, c.x0_0), _full, 1, 0),
-            "ode-taylor": _Reduced(lambda c: (c.A0, c.x0_0), _taylor, 1, 0),
-            "eom": _Reduced(lambda c: (c.x0_0, c.A0), _dark_eom, 0),
-            "eom-a": _Reduced(lambda c: (c.x0_0, c.A0), _dark_eom_a, 0),
+        y0=lambda c: (c.A0, c.x0_0), center=1, reader=_dark_reader, reduced={
+            "ode-full": _Reduced(_full, True),
+            "ode-taylor": _Reduced(_taylor, True),
+            "eom": _Reduced(_taylor),  # the Newtonian equation on this profile
+            "eom-a": _Reduced(_dark_eom_a),
         }),
     "bright": _Mode(  # tau = t/2
-        rate=0.5, start="zeta0", soliton=lambda c: bright.BrightSolitonParams(
+        rate=0.5, soliton=lambda c: bright.BrightSolitonParams(
             eta=c.eta0, xi=c.xi0, zeta=c.zeta0, phi=c.phi0),
         params=lambda y: bright.BrightSolitonParams(eta=float(y[0]), xi=float(y[1]),
                                                     zeta=float(y[2])),
         rhs_full=lambda p, profile, grid: bright.rhs_full(p, profile, grid),
         rhs_taylor=lambda p, profile: bright.rhs_taylor(p, profile),
         variant="transformed-bright", ansatz=lambda s, grid: bright.ansatz(s, grid),
-        reader=_bright_reader, reduced={
-            "ode-full": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0), _full, 2, 0),
-            "ode-taylor": _Reduced(lambda c: (c.eta0, c.xi0, c.zeta0), _taylor, 2, 0),
-            "eom": _Reduced(lambda c: (c.zeta0, -2.0 * c.xi0), _bright_eom, 0),
+        y0=lambda c: (c.eta0, c.xi0, c.zeta0), center=2, reader=_bright_reader, reduced={
+            "ode-full": _Reduced(_full, True),
+            "ode-taylor": _Reduced(_taylor, True),
+            "eom": _Reduced(_taylor),  # the Newtonian equation on this profile
         }),
 }
+
+
+def _models(mode: _Mode, tiers) -> list[Callable]:
+    """The distinct models (right-hand sides) of the requested reduced tiers."""
+    return list(dict.fromkeys(row.rhs for tier, row in mode.reduced.items() if tier in tiers))
 
 
 def _reduced_tiers(config: ExperimentConfig, profile: InhomogeneityProfile,
                    grid: SpatialGrid):
     """Centers and amplitude of the requested reduced tiers.
 
-    The tiers march together as one stacked system in the mode's frame,
-    each tier owning a slice of the state; the integrator acts
-    elementwise, so every tier's trajectory is the one it would have alone.
+    Each model marches once from the mode's start state, and the tiers
+    that share it read its slice; all models march together as one stacked
+    system in the mode's frame.  The integrator acts elementwise, so each
+    model's trajectory is the one it would have alone.
     """
     mode = _MODES[config.mode]
-    tiers = [tier for tier in mode.reduced if tier in config.tiers]
-    if not tiers:
+    models = _models(mode, config.tiers)
+    if not models:
         return {}, None
-    y0: list[float] = []
-    parts = []  # (tier, row, the tier's slice of the stacked state)
-    for tier in tiers:
-        start = len(y0)
-        y0.extend(mode.reduced[tier].y0(config))
-        parts.append((tier, mode.reduced[tier], slice(start, len(y0))))
+    y0 = mode.y0(config)
+    n = len(y0)
 
     def rhs(y):
-        out: list[float] = []
-        for _, row, part in parts:
-            out.extend(row.rhs(y[part], config, profile, grid))
-        return np.array(out)
+        return np.array([value for model, part in zip(models, y.reshape(-1, n))
+                         for value in model(part, config, profile, grid)])
 
-    traj = abm4_integrate(OdeSystem(len(y0), rhs), np.array(y0), mode.rate * config.t_max,
-                          config.dt_ode)
+    traj = abm4_integrate(OdeSystem(n * len(models), rhs), np.array(y0 * len(models)),
+                          mode.rate * config.t_max, config.dt_ode)
     stride = step_count(mode.rate * config.sample_step, config.dt_ode)
+    states = traj.states[::stride].reshape(-1, len(models), n)
     centers: dict[str, np.ndarray] = {}
     amplitude = None
-    for tier, row, part in parts:
-        centers[tier] = traj.states[::stride, part.start + row.center].copy()
-        if amplitude is None and row.amplitude is not None:
-            amplitude = traj.states[::stride, part.start + row.amplitude].copy()
+    for tier, row in mode.reduced.items():
+        if tier in config.tiers:
+            k = models.index(row.rhs)
+            centers[tier] = states[:, k, mode.center].copy()
+            if amplitude is None and row.amplitude:
+                amplitude = states[:, k, 0].copy()
     return centers, amplitude
 
 

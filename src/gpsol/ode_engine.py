@@ -162,9 +162,7 @@ def march(step: Step, rhs_into: RhsInto, u: np.ndarray, t0: float, dt: float,
             step(rhs_into, u, dt, work)
             if (k + 1) % every == 0:
                 if not np.isfinite(u).all():
-                    t_fail = t0 + (k + 1) * dt
-                    raise InstabilityError(f"non-finite state at t = {t_fail:g}",
-                                           t_fail=t_fail)
+                    raise InstabilityError("non-finite state", t_fail=t0 + (k + 1) * dt)
                 on_sample((k + 1) // every, u)
 
 

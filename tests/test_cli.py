@@ -189,6 +189,15 @@ def test_run_reports_instability(tmp_path, capsys, monkeypatch):
     assert "t = 0.5" in capsys.readouterr().err
 
 
+def test_run_names_the_failure_time_once(tmp_path, capsys):
+    # a bright soliton far too narrow for 257 points blows up by the first sample
+    cfg = _write_config(tmp_path, "mode = bright\neta0 = 50\nxi0 = 0\nn_points = 257\n"
+                                  "tiers = pde\nt_max = 1\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite state") and err.count("t = ") == 1
+
+
 def test_run_reports_range_breakdown(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path)
 

@@ -371,12 +371,14 @@ def test_stacked_tiers_equal_tiers_alone(mode, tiers):
             assert alone.aux_ode is None
 
 
-def test_bright_eom_is_a_lab_march_at_twice_dt_ode():
-    # the bright eom runs in tau = t/2 as (2 v, 2 a); scaling by 2 is
-    # exact, so it is bitwise the lab-time march at 2 dt_ode
+def test_bright_eom_reads_the_taylor_march():
+    # on g = 1/(D + C x)^2 the Taylor parameter ODEs are the Newtonian center
+    # equation: eom reads the ode-taylor march, which tracks a lab-time march
+    # of bright.eom_rhs at 2 dt_ode
     cfg = ExperimentConfig(mode="bright", eta0=0.5, xi0=0.25, zeta0=2.0, t_max=2.0,
-                           tiers=("eom",))
+                           tiers=("ode-taylor", "eom"))
     rec = run_experiment(cfg)
+    assert np.array_equal(rec.centers["eom"], rec.centers["ode-taylor"])
 
     def lab_rhs(y):
         return np.array([y[1], bright.eom_rhs(y[0], cfg.eta0, cfg.zeta0, cfg.C, cfg.D)])
@@ -385,7 +387,7 @@ def test_bright_eom_is_a_lab_march_at_twice_dt_ode():
                          cfg.t_max, 2.0 * cfg.dt_ode)
     stride = step_count(cfg.sample_step, 2.0 * cfg.dt_ode)
     assert lab.times[::stride] == pytest.approx(rec.times, rel=1e-12, abs=1e-15)
-    assert np.array_equal(rec.centers["eom"], lab.states[::stride, 0])
+    assert np.max(np.abs(rec.centers["eom"] - lab.states[::stride, 0])) < 1e-12
     assert rec.centers["eom"][-1] != rec.centers["eom"][0]
 
 
@@ -408,6 +410,8 @@ def test_one_ode_march_per_run(mode, monkeypatch):
     rec = run_experiment(cfg)
     assert len(calls) == 1
     assert set(rec.centers) == set(cfg.tiers)
+    # one state per model: ode-taylor and eom share the Taylor model's
+    assert calls[0][0].dimension == 6
 
 
 @pytest.mark.parametrize("kwargs", [dict(t_max=1.0, dt_pde=1e-320),
@@ -427,6 +431,18 @@ def test_config_rejects_a_run_past_physical_memory(kwargs):
     # rejected from a size estimate on construction, before any allocation
     with pytest.raises(ConfigurationError, match="physical memory"):
         ExperimentConfig(mode="dark", **kwargs)
+
+
+def test_memory_bound_counts_a_shared_model_once(monkeypatch):
+    # 1e6 ODE steps: the one march that ode-taylor and eom share keeps 3
+    # words a step (A, x0 and the time), 25 MB in all, under this host's
+    # 32 MiB; two models, or a state per tier, would keep 41 MB
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8192}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    base = dict(mode="dark", A0=0.5, t_max=1000.0)
+    ExperimentConfig(tiers=("ode-taylor", "eom"), **base)
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        ExperimentConfig(tiers=("ode-full", "ode-taylor"), **base)
 
 
 @pytest.mark.parametrize("missing", ["sysconf", "SC_PHYS_PAGES"])
@@ -470,15 +486,16 @@ def test_edge_crossing_raises_before_the_march_ends(monkeypatch):
 
 
 def test_particle_tiers_stop_at_the_profile_edge(tmp_path, capsys):
-    # ode-taylor stops where the center leaves the profile, here the grid
-    # [-150, 150]; so must the particle tiers, which read no profile and
-    # completed off the grid: this bright eom crossed x = 150 near t = 55.7
-    # and the singularity at x = 200 after it
+    # the particle tiers stop where the center leaves the profile, here the
+    # grid [-150, 150]: eom reads the ode-taylor march, which checks it, and
+    # eom-a, which reads no profile, checks it itself; unchecked, a bright
+    # eom crossed x = 150 near t = 55.7 and the singularity at x = 200 after it
     bright_run = ExperimentConfig(mode="bright", eta0=0.5, xi0=-1.0, t_max=150.0,
                                   tiers=("eom",))
     with pytest.raises(RangeError, match=r"center 150\.0\d* outside profile validity"):
         run_experiment(bright_run)
     # and these dark ones ended at x0 = -284.05 (eom) and -373.73 (eom-a)
+    # off the grid
     cfg = tmp_path / "eom.cfg"
     cfg.write_text("mode = dark\nA0 = -0.9\nt_max = 300\ndt_ode = 1e-2\n")
     for tier in ("eom", "eom-a"):
